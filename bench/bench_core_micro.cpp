@@ -2,10 +2,14 @@
 //
 // Costs of the primitives everything else is built from: TimeVortex
 // insert/pop, link event delivery, clock dispatch, UnitAlgebra parsing,
-// RNG draws.  Regressions here slow every experiment in the repo.
+// RNG draws, and the DRAM scheduler under every memory-controller
+// experiment.  Regressions here slow every experiment in the repo.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "core/sst.h"
+#include "mem/dram.h"
 
 namespace {
 
@@ -149,6 +153,36 @@ void BM_RngBounded(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_RngBounded);
+
+// ---- DRAM scheduler ------------------------------------------------------
+
+void BM_DramAdvance(benchmark::State& state) {
+  // One controller wakeup per iteration at a steady queue depth: top the
+  // queue up with random (mostly row-miss) lines, advance to now, and
+  // take the next wakeup time.  Items are completed requests.
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  mem::DramBackend dram(mem::DramTimingParams::ddr3_1333());
+  rng::XorShift128Plus rng(3);
+  std::vector<mem::MemCompletion> done;
+  std::uint64_t token = 0;
+  std::int64_t completed = 0;
+  SimTime now = 0;
+  for (auto _ : state) {
+    while (dram.pending() < depth) {
+      dram.push(token++, rng.next_bounded(1ULL << 28) & ~63ULL, false, 64,
+                now);
+    }
+    done.clear();
+    dram.advance(now, done);
+    benchmark::DoNotOptimize(done.data());
+    benchmark::ClobberMemory();
+    completed += static_cast<std::int64_t>(done.size());
+    const SimTime next = dram.next_action();
+    if (next != kTimeNever) now = next;
+  }
+  state.SetItemsProcessed(completed);
+}
+BENCHMARK(BM_DramAdvance)->Arg(4)->Arg(16)->Arg(64);
 
 }  // namespace
 

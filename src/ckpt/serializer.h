@@ -7,9 +7,9 @@
 // the two directions cannot drift apart.
 //
 // Supported out of the box: arithmetic types, enums, bool,
-// std::string, vector/deque/set/map/pair/optional, RNG engines,
-// UnitAlgebra, Params, and polymorphic events (via the event registry,
-// see event_registry.h).  Any struct can opt in by providing a
+// std::string, vector/deque/set/map/unordered_map/pair/optional, RNG
+// engines, UnitAlgebra, Params, and polymorphic events (via the event
+// registry, see event_registry.h).  Any struct can opt in by providing a
 // `void ckpt_io(ckpt::Serializer&)` member that serializes its fields.
 //
 // The format is raw little-endian host bytes: checkpoints are restored
@@ -18,6 +18,7 @@
 // is explicitly out of scope (see DESIGN.md).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -28,6 +29,7 @@
 #include <set>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -195,6 +197,40 @@ class Serializer {
         K key = k;
         (*this) & key;
         (*this) & val;
+      }
+    } else {
+      v.clear();
+      check_count(n, min_element_bytes<K>());
+      for (std::uint64_t i = 0; i < n; ++i) {
+        K key{};
+        (*this) & key;
+        V val{};
+        (*this) & val;
+        v.emplace(std::move(key), std::move(val));
+      }
+    }
+    return *this;
+  }
+
+  /// Written in the layout of the std::map with the same contents (count,
+  /// then key/value pairs in ascending key order), so the bytes do not
+  /// depend on hash order and the two containers are interchangeable.
+  template <typename K, typename V, typename H, typename Eq>
+  Serializer& operator&(std::unordered_map<K, V, H, Eq>& v) {
+    std::uint64_t n = v.size();
+    (*this) & n;
+    if (packing()) {
+      std::vector<std::pair<const K, V>*> sorted;
+      sorted.reserve(v.size());
+      for (auto& e : v) sorted.push_back(&e);
+      std::sort(sorted.begin(), sorted.end(),
+                [](const auto* a, const auto* b) {
+                  return a->first < b->first;
+                });
+      for (auto* e : sorted) {
+        K key = e->first;
+        (*this) & key;
+        (*this) & e->second;
       }
     } else {
       v.clear();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 namespace sst {
@@ -108,15 +109,20 @@ bool parse_param<bool>(const std::string& text, std::string_view key) {
 template <>
 double parse_param<double>(const std::string& text, std::string_view key) {
   // Accept plain numbers or dimensionful quantities ("2.5GHz" -> 2.5e9).
+  // NaN and infinities (strtod spells them "nan", "inf", or overflows to
+  // them) are never meaningful parameter values.
   const char* begin = text.c_str();
   char* end = nullptr;
-  const double plain = std::strtod(begin, &end);
-  if (end != begin && *end == '\0') return plain;
-  try {
-    return UnitAlgebra(text).value();
-  } catch (const ConfigError&) {
-    bad_value(text, key, "double");
+  double value = std::strtod(begin, &end);
+  if (end == begin || *end != '\0') {
+    try {
+      value = UnitAlgebra(text).value();
+    } catch (const ConfigError&) {
+      bad_value(text, key, "double");
+    }
   }
+  if (!std::isfinite(value)) bad_value(text, key, "finite double");
+  return value;
 }
 
 namespace {

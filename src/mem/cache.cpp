@@ -1,16 +1,11 @@
 #include "mem/cache.h"
 
+#include <bit>
 #include <utility>
 
 #include "ckpt/serializer.h"
 
 namespace sst::mem {
-
-namespace {
-[[nodiscard]] bool is_power_of_two(std::uint64_t v) {
-  return v != 0 && (v & (v - 1)) == 0;
-}
-}  // namespace
 
 Cache::Cache(Params& params) {
   const std::uint64_t size = params.required<UnitAlgebra>("size").to_bytes();
@@ -29,7 +24,7 @@ Cache::Cache(Params& params) {
   }
   prefetch_degree_ = params.find<std::uint32_t>("prefetch_degree", 2);
 
-  if (!is_power_of_two(line_size_)) {
+  if (!std::has_single_bit(line_size_)) {
     throw ConfigError("cache '" + name() + "': line_size must be a power of 2");
   }
   if (assoc_ == 0) throw ConfigError("cache '" + name() + "': assoc must be >= 1");
@@ -42,9 +37,11 @@ Cache::Cache(Params& params) {
                       "': size must be a multiple of line_size * assoc");
   }
   num_sets_ = static_cast<std::uint32_t>(lines / assoc_);
-  if (!is_power_of_two(num_sets_)) {
+  if (!std::has_single_bit(num_sets_)) {
     throw ConfigError("cache '" + name() + "': set count must be a power of 2");
   }
+  line_shift_ = static_cast<unsigned>(std::countr_zero(line_size_));
+  tag_shift_ = line_shift_ + static_cast<unsigned>(std::countr_zero(num_sets_));
   sets_.assign(num_sets_, std::vector<Line>(assoc_));
 
   cpu_link_ = configure_link(
@@ -204,7 +201,7 @@ void Cache::install_line(Addr line_addr, bool dirty, bool prefetched) {
     if (line.dirty) {
       writebacks_->add();
       const Addr victim_addr =
-          (line.tag * num_sets_ + set) * static_cast<Addr>(line_size_);
+          (line.tag << tag_shift_) | (static_cast<Addr>(set) << line_shift_);
       mem_link_->send(std::make_unique<MemEvent>(MemCmd::kPutM, victim_addr,
                                                  line_size_, 0));
     }

@@ -27,7 +27,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "core/component.h"
@@ -45,6 +45,7 @@ class Cache final : public Component {
   [[nodiscard]] std::uint32_t num_sets() const { return num_sets_; }
   [[nodiscard]] std::uint32_t assoc() const { return assoc_; }
   [[nodiscard]] std::uint32_t line_size() const { return line_size_; }
+  [[nodiscard]] std::size_t mshrs_in_use() const { return mshrs_.size(); }
 
   void serialize_state(ckpt::Serializer& s) override;
 
@@ -76,11 +77,9 @@ class Cache final : public Component {
     return a & ~static_cast<Addr>(line_size_ - 1);
   }
   [[nodiscard]] std::uint32_t set_index(Addr a) const {
-    return static_cast<std::uint32_t>((a / line_size_) % num_sets_);
+    return static_cast<std::uint32_t>(a >> line_shift_) & (num_sets_ - 1);
   }
-  [[nodiscard]] std::uint64_t tag_of(Addr a) const {
-    return a / line_size_ / num_sets_;
-  }
+  [[nodiscard]] std::uint64_t tag_of(Addr a) const { return a >> tag_shift_; }
 
   /// Looks up the line; returns way index or -1.
   [[nodiscard]] int lookup(Addr a) const;
@@ -98,6 +97,10 @@ class Cache final : public Component {
   std::uint32_t line_size_;
   std::uint32_t assoc_;
   std::uint32_t num_sets_;
+  // Both are powers of two: set = (addr >> line_shift_) mod num_sets_,
+  // tag = addr >> tag_shift_.
+  unsigned line_shift_;
+  unsigned tag_shift_;
   SimTime hit_latency_;
   std::uint32_t max_mshrs_;
   bool prefetch_enabled_;
@@ -105,8 +108,8 @@ class Cache final : public Component {
 
   std::vector<std::vector<Line>> sets_;
   std::uint64_t lru_clock_ = 1;
-  std::map<std::uint64_t, Mshr> mshrs_;          // key: outgoing req_id
-  std::map<Addr, std::uint64_t> mshr_by_line_;   // line -> outgoing req_id
+  std::unordered_map<std::uint64_t, Mshr> mshrs_;  // key: outgoing req_id
+  std::unordered_map<Addr, std::uint64_t> mshr_by_line_;  // line -> req_id
   std::deque<std::unique_ptr<MemEvent>> stalled_;
   std::uint64_t next_req_id_ = 1;
 

@@ -1,6 +1,7 @@
 #include "mem/dram.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "ckpt/serializer.h"
@@ -97,10 +98,10 @@ void SimpleBackend::push(std::uint64_t token, Addr /*addr*/,
   decided_.push_back({token, start + latency_ + burst});
 }
 
-std::vector<MemCompletion> SimpleBackend::advance(SimTime /*now*/) {
-  std::vector<MemCompletion> out;
-  out.swap(decided_);
-  return out;
+void SimpleBackend::advance(SimTime /*now*/,
+                            std::vector<MemCompletion>& out) {
+  out.insert(out.end(), decided_.begin(), decided_.end());
+  decided_.clear();
 }
 
 // ---------------------------------------------------------------------
@@ -109,8 +110,17 @@ std::vector<MemCompletion> SimpleBackend::advance(SimTime /*now*/) {
 
 DramBackend::DramBackend(DramTimingParams params)
     : params_(std::move(params)), banks_(params_.num_banks) {
-  if (params_.num_banks == 0) throw ConfigError("DRAM: need >= 1 bank");
-  if (params_.row_bytes == 0) throw ConfigError("DRAM: row_bytes must be > 0");
+  if (!std::has_single_bit(params_.num_banks)) {
+    throw ConfigError("DRAM: num_banks must be a power of 2");
+  }
+  if (!std::has_single_bit(params_.row_bytes)) {
+    throw ConfigError("DRAM: row_bytes must be a power of 2");
+  }
+  row_shift_ = static_cast<unsigned>(std::countr_zero(params_.row_bytes));
+  bank_shift_ = static_cast<unsigned>(std::countr_zero(params_.num_banks));
+  if (row_shift_ + bank_shift_ >= 64) {
+    throw ConfigError("DRAM: row_bytes * num_banks must be below 2^64");
+  }
 }
 
 std::uint32_t DramBackend::bank_of(Addr addr) const {
@@ -119,25 +129,38 @@ std::uint32_t DramBackend::bank_of(Addr addr) const {
   // pitch) that would otherwise alias competing streams into one bank —
   // the same trick real controllers play with XOR bank hashing.  Lines
   // within a row share a bank, so sequential streams still get row hits.
-  const std::uint64_t row = addr / params_.row_bytes;
-  const std::uint64_t b = params_.num_banks;
-  // Two skew terms: a single-level skew still aliases at stride banks^2.
-  return static_cast<std::uint32_t>((row + row / b + row / (b * b)) % b);
+  // Two skew terms (row / banks, row / banks^2): a single-level skew
+  // still aliases at stride banks^2.
+  const std::uint64_t row = addr >> row_shift_;
+  return static_cast<std::uint32_t>(
+      (row + (row >> bank_shift_) + (row >> (2 * bank_shift_))) &
+      (params_.num_banks - 1));
 }
 
 std::uint64_t DramBackend::row_of(Addr addr) const {
-  return addr / (params_.row_bytes * params_.num_banks);
+  return addr >> (row_shift_ + bank_shift_);
+}
+
+void DramBackend::decode(Pending& p) const {
+  p.bank = bank_of(p.addr);
+  p.row = row_of(p.addr);
 }
 
 void DramBackend::push(std::uint64_t token, Addr addr, bool /*is_write*/,
                        std::uint32_t bytes, SimTime now) {
-  queue_.push_back({token, addr, bytes, now, next_seq_++});
+  Pending& p = queue_.emplace_back(
+      Pending{.token = token, .addr = addr, .bytes = bytes, .arrival = now,
+              .seq = next_seq_++});
+  decode(p);
+  // Bank state is unchanged since the last scan, so the earliest issue
+  // time only needs the new request folded in.
+  next_action_ = std::min(next_action_, issue_time(p));
 }
 
 SimTime DramBackend::issue_time(const Pending& p) const {
-  const Bank& bank = banks_[bank_of(p.addr)];
+  const Bank& bank = banks_[p.bank];
   SimTime t = std::max(p.arrival, bank.ready);
-  if (bank.open_row != row_of(p.addr)) {
+  if (bank.open_row != p.row) {
     // Must wait out tRAS before the precharge can begin.
     t = std::max(t, bank.ras_done);
   }
@@ -145,13 +168,12 @@ SimTime DramBackend::issue_time(const Pending& p) const {
 }
 
 SimTime DramBackend::issue(const Pending& p) {
-  Bank& bank = banks_[bank_of(p.addr)];
-  const std::uint64_t row = row_of(p.addr);
+  Bank& bank = banks_[p.bank];
   const SimTime start = issue_time(p);
 
   const SimTime burst = params_.burst_time(p.bytes);
   SimTime cas_issue;
-  if (bank.open_row == row) {
+  if (bank.open_row == p.row) {
     // Row hit: the CAS issues immediately; tCL is pure latency and CAS
     // commands pipeline at the burst (tCCD) rate.
     ++row_hits_;
@@ -160,7 +182,7 @@ SimTime DramBackend::issue(const Pending& p) {
     // Row miss: precharge + activate, then the CAS.
     ++row_misses_;
     cas_issue = start + params_.t_rp + params_.t_rcd;
-    bank.open_row = row;
+    bank.open_row = p.row;
     bank.ras_done = cas_issue + params_.t_ras;
   }
   SimTime data_start = cas_issue + params_.t_cl;
@@ -176,20 +198,24 @@ SimTime DramBackend::issue(const Pending& p) {
   return data_start + burst;
 }
 
-std::vector<MemCompletion> DramBackend::advance(SimTime now) {
-  std::vector<MemCompletion> out;
+void DramBackend::advance(SimTime now, std::vector<MemCompletion>& out) {
+  // next_action_ is exact, so before it nothing is issuable.
+  if (now < next_action_) return;
   for (;;) {
     // FR-FCFS: among requests issuable by `now`, row hits beat misses and
-    // age breaks ties; if nothing is issuable yet, stop.
+    // age breaks ties; if nothing is issuable yet, stop.  The same pass
+    // takes the earliest issue time of every request, which is
+    // next_action() once nothing is left to issue.
     std::size_t best = queue_.size();
     SimTime best_issue = kTimeNever;
     bool best_hit = false;
+    SimTime earliest = kTimeNever;
     for (std::size_t i = 0; i < queue_.size(); ++i) {
       const Pending& p = queue_[i];
       const SimTime t = issue_time(p);
+      earliest = std::min(earliest, t);
       if (t > now) continue;
-      const bool hit =
-          banks_[bank_of(p.addr)].open_row == row_of(p.addr);
+      const bool hit = banks_[p.bank].open_row == p.row;
       const bool better =
           best == queue_.size() || (hit && !best_hit) ||
           (hit == best_hit &&
@@ -201,20 +227,14 @@ std::vector<MemCompletion> DramBackend::advance(SimTime now) {
         best_hit = hit;
       }
     }
-    if (best == queue_.size()) break;
+    if (best == queue_.size()) {
+      next_action_ = earliest;
+      return;
+    }
     const Pending chosen = queue_[best];
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
     out.push_back({chosen.token, issue(chosen)});
   }
-  return out;
-}
-
-SimTime DramBackend::next_action() const {
-  SimTime t = kTimeNever;
-  for (const Pending& p : queue_) {
-    t = std::min(t, issue_time(p));
-  }
-  return t;
 }
 
 // ---------------------------------------------------------------------
@@ -237,6 +257,18 @@ void DramBackend::Pending::ckpt_io(ckpt::Serializer& s) {
 
 void DramBackend::serialize(ckpt::Serializer& s) {
   s & banks_ & data_bus_free_ & queue_ & next_seq_ & row_hits_ & row_misses_;
+  if (s.packing()) return;
+  if (banks_.size() != params_.num_banks) {
+    throw ckpt::CheckpointError("checkpoint DRAM state has " +
+                                std::to_string(banks_.size()) +
+                                " banks, the preset has " +
+                                std::to_string(params_.num_banks));
+  }
+  next_action_ = kTimeNever;
+  for (Pending& p : queue_) {
+    decode(p);
+    next_action_ = std::min(next_action_, issue_time(p));
+  }
 }
 
 }  // namespace sst::mem

@@ -14,8 +14,8 @@
 //
 // The backend interface is pull-based: the owning MemoryController pushes
 // requests, then repeatedly advances the backend to the current time and
-// collects scheduled completions; next_action() tells the controller when
-// to wake the backend again.
+// collects scheduled completions into a buffer it reuses; next_action()
+// tells the controller when to wake the backend again.
 #pragma once
 
 #include <cstdint>
@@ -71,10 +71,11 @@ class MemBackend {
   virtual void push(std::uint64_t token, Addr addr, bool is_write,
                     std::uint32_t bytes, SimTime now) = 0;
 
-  /// Makes all scheduling decisions possible up to time `now`; returns
-  /// the completions decided by those issues (their completion times may
-  /// lie in the future — the controller schedules the responses).
-  virtual std::vector<MemCompletion> advance(SimTime now) = 0;
+  /// Makes all scheduling decisions possible up to time `now` and appends
+  /// the completions decided by those issues to `out` (their completion
+  /// times may lie in the future — the controller schedules the
+  /// responses).
+  virtual void advance(SimTime now, std::vector<MemCompletion>& out) = 0;
 
   /// Earliest future time at which advance() could decide something new,
   /// or kTimeNever when no requests are pending.
@@ -95,7 +96,7 @@ class SimpleBackend final : public MemBackend {
 
   void push(std::uint64_t token, Addr addr, bool is_write,
             std::uint32_t bytes, SimTime now) override;
-  std::vector<MemCompletion> advance(SimTime now) override;
+  void advance(SimTime now, std::vector<MemCompletion>& out) override;
   [[nodiscard]] SimTime next_action() const override { return kTimeNever; }
   [[nodiscard]] const std::string& name() const override { return name_; }
   void serialize(ckpt::Serializer& s) override;
@@ -109,14 +110,19 @@ class SimpleBackend final : public MemBackend {
 };
 
 /// Detailed bank/row/bus DRAM backend with FR-FCFS scheduling.
+///
+/// Bank count and row size must be powers of two, so a request's bank and
+/// row decode with shifts; they are decoded once, in push().  Each pass of
+/// advance() over the queue finds the FR-FCFS winner and the earliest
+/// issue time together, and next_action() returns the latter.
 class DramBackend final : public MemBackend {
  public:
   explicit DramBackend(DramTimingParams params);
 
   void push(std::uint64_t token, Addr addr, bool is_write,
             std::uint32_t bytes, SimTime now) override;
-  std::vector<MemCompletion> advance(SimTime now) override;
-  [[nodiscard]] SimTime next_action() const override;
+  void advance(SimTime now, std::vector<MemCompletion>& out) override;
+  [[nodiscard]] SimTime next_action() const override { return next_action_; }
   [[nodiscard]] const std::string& name() const override {
     return params_.name;
   }
@@ -152,19 +158,29 @@ class DramBackend final : public MemBackend {
     std::uint32_t bytes;
     SimTime arrival;
     std::uint64_t seq;  // FCFS order among equal priority
+    // Decoded from addr by push() and on restore; not checkpointed.
+    std::uint32_t bank = 0;
+    std::uint64_t row = 0;
 
     void ckpt_io(ckpt::Serializer& s);
   };
 
+  /// Fills in p.bank and p.row from p.addr.
+  void decode(Pending& p) const;
   /// Earliest time request `p` could issue its first command.
   [[nodiscard]] SimTime issue_time(const Pending& p) const;
   /// Issues `p` (updates bank and bus state); returns data-complete time.
   SimTime issue(const Pending& p);
 
   DramTimingParams params_;
+  unsigned row_shift_ = 0;   // log2(row_bytes)
+  unsigned bank_shift_ = 0;  // log2(num_banks)
   std::vector<Bank> banks_;
   SimTime data_bus_free_ = 0;
   std::vector<Pending> queue_;
+  // Earliest issue time over queue_ for the current bank state; kept by
+  // push() and advance(), recomputed on restore.
+  SimTime next_action_ = kTimeNever;
   std::uint64_t next_seq_ = 0;
   std::uint64_t row_hits_ = 0;
   std::uint64_t row_misses_ = 0;

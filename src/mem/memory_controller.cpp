@@ -1,5 +1,6 @@
 #include "mem/memory_controller.h"
 
+#include <map>
 #include <utility>
 
 #include "ckpt/event_registry.h"
@@ -88,17 +89,20 @@ void MemoryController::handle_cpu(EventPtr ev) {
   bytes_->add(req->size());
 
   const std::uint64_t token = next_token_++;
-  awaiting_.emplace(token, expects_response(req->cmd()) ? req->make_response()
-                                                        : nullptr);
-  arrival_.emplace(token, now());
+  in_flight_.emplace(
+      token,
+      InFlight{expects_response(req->cmd()) ? req->make_response() : nullptr,
+               now()});
   backend_->push(token, req->addr(), is_write, req->size(), now());
   pump();
 }
 
 void MemoryController::pump() {
-  for (const MemCompletion& c : backend_->advance(now())) {
-    auto it = awaiting_.find(c.token);
-    if (it == awaiting_.end()) {
+  completions_.clear();
+  backend_->advance(now(), completions_);
+  for (const MemCompletion& c : completions_) {
+    auto it = in_flight_.find(c.token);
+    if (it == in_flight_.end()) {
       throw SimulationError("memctrl '" + name() +
                             "': backend completed unknown token");
     }
@@ -106,10 +110,9 @@ void MemoryController::pump() {
       throw SimulationError("memctrl '" + name() +
                             "': backend completion in the past");
     }
-    access_latency_->add(static_cast<double>(c.time - arrival_.at(c.token)));
-    arrival_.erase(c.token);
-    EventPtr resp = std::move(it->second);
-    awaiting_.erase(it);
+    access_latency_->add(static_cast<double>(c.time - it->second.arrival));
+    EventPtr resp = std::move(it->second.resp);
+    in_flight_.erase(it);
     if (resp) {
       // Hold the response until the data is on the bus.
       self_link_->send(std::make_unique<CompletionEvent>(std::move(resp)),
@@ -155,7 +158,26 @@ void MemoryController::register_ckpt_events() {
 }
 
 void MemoryController::serialize_state(ckpt::Serializer& s) {
-  s & awaiting_ & arrival_ & next_token_ & wake_armed_for_;
+  // The in-flight table is written as two ordered maps, token -> response
+  // and token -> arrival, so the bytes do not depend on hash order.
+  std::map<std::uint64_t, EventPtr> awaiting;
+  std::map<std::uint64_t, SimTime> arrival;
+  for (auto& [token, f] : in_flight_) {
+    awaiting.emplace(token, std::move(f.resp));
+    arrival.emplace(token, f.arrival);
+  }
+  in_flight_.clear();
+  s & awaiting & arrival & next_token_ & wake_armed_for_;
+  for (auto& [token, resp] : awaiting) {
+    auto a = arrival.find(token);
+    if (a == arrival.end()) break;
+    in_flight_.emplace(token, InFlight{std::move(resp), a->second});
+  }
+  if (in_flight_.size() != awaiting.size() ||
+      in_flight_.size() != arrival.size()) {
+    throw ckpt::CheckpointError("memctrl '" + name() +
+                                "': checkpoint in-flight tables disagree");
+  }
   backend_->serialize(s);
 }
 

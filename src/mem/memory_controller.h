@@ -22,8 +22,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 #include "core/component.h"
 #include "fault/ecc.h"
@@ -56,6 +57,8 @@ class MemoryController final : public Component {
   [[nodiscard]] std::uint64_t silent_errors() const {
     return silent_errors_->count();
   }
+  /// Requests accepted whose backend completion has not been decided.
+  [[nodiscard]] std::size_t in_flight() const { return in_flight_.size(); }
 
   void finish() override;
 
@@ -93,10 +96,14 @@ class MemoryController final : public Component {
   Link* self_link_;
   std::unique_ptr<MemBackend> backend_;
 
-  // In-flight requests awaiting a backend decision: token -> prepared
-  // response (null for PutM, which gets no response).
-  std::map<std::uint64_t, EventPtr> awaiting_;
-  std::map<std::uint64_t, SimTime> arrival_;
+  /// A request awaiting its backend decision.
+  struct InFlight {
+    EventPtr resp;    // prepared response; null for PutM (no response)
+    SimTime arrival;  // for access_latency_ps
+  };
+
+  std::unordered_map<std::uint64_t, InFlight> in_flight_;  // key: token
+  std::vector<MemCompletion> completions_;  // pump()'s reused buffer
   std::uint64_t next_token_ = 1;
   SimTime wake_armed_for_ = kTimeNever;
 

@@ -1,6 +1,7 @@
 #include "proc/core_model.h"
 
 #include <algorithm>
+#include <map>
 #include <utility>
 
 #include "ckpt/serializer.h"
@@ -55,10 +56,9 @@ void Core::setup() {
 void Core::send_mem(mem::MemCmd cmd, Addr addr, std::uint32_t size) {
   const std::uint64_t id = next_req_id_++;
   const bool is_load = cmd == mem::MemCmd::kGetS;
-  in_flight_.emplace(id, is_load);
+  in_flight_.emplace(id, InFlight{is_load, is_load ? now() : 0});
   if (is_load) {
     ++outstanding_loads_;
-    issue_time_.emplace(id, now());
   } else {
     ++outstanding_stores_;
   }
@@ -175,15 +175,11 @@ void Core::handle_mem(EventPtr ev) {
   if (it == in_flight_.end()) {
     throw SimulationError("core '" + name() + "': unmatched mem response");
   }
-  const bool is_load = it->second;
+  const InFlight req = it->second;
   in_flight_.erase(it);
-  if (is_load) {
+  if (req.is_load) {
     --outstanding_loads_;
-    auto ts = issue_time_.find(resp->req_id());
-    if (ts != issue_time_.end()) {
-      load_latency_->add(static_cast<double>(now() - ts->second));
-      issue_time_.erase(ts);
-    }
+    load_latency_->add(static_cast<double>(now() - req.issued));
   } else {
     --outstanding_stores_;
   }
@@ -218,9 +214,30 @@ void Core::finish() {
 }
 
 void Core::serialize_state(ckpt::Serializer& s) {
+  // The in-flight table is written as two ordered maps, req_id -> is_load
+  // and (loads only) req_id -> issue time, so the bytes do not depend on
+  // hash order.
+  std::map<std::uint64_t, bool> is_load;
+  std::map<std::uint64_t, SimTime> issued;
+  for (const auto& [id, f] : in_flight_) {
+    is_load.emplace(id, f.is_load);
+    if (f.is_load) issued.emplace(id, f.issued);
+  }
   s & pending_ & stream_done_ & completed_ & clock_active_ &
       completion_time_ & outstanding_loads_ & outstanding_stores_ &
-      next_req_id_ & in_flight_ & issue_time_;
+      next_req_id_ & is_load & issued;
+  in_flight_.clear();
+  std::size_t loads = 0;
+  for (const auto& [id, load] : is_load) {
+    auto t = issued.find(id);
+    if (load != (t != issued.end())) break;
+    in_flight_.emplace(id, InFlight{load, load ? t->second : 0});
+    loads += load ? 1 : 0;
+  }
+  if (in_flight_.size() != is_load.size() || loads != issued.size()) {
+    throw ckpt::CheckpointError("core '" + name() +
+                                "': checkpoint in-flight tables disagree");
+  }
   if (workload_ != nullptr) workload_->serialize(s);
 }
 

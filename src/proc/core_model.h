@@ -28,8 +28,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <unordered_map>
 
 #include "core/component.h"
 #include "mem/mem_event.h"
@@ -58,6 +58,8 @@ class Core final : public Component {
   /// True when memory requests carry virtual addresses for a vm.Tlb.
   [[nodiscard]] bool virtual_addressing() const { return virt_; }
   [[nodiscard]] std::uint32_t asid() const { return asid_; }
+  /// Memory requests sent and not yet answered.
+  [[nodiscard]] std::size_t in_flight() const { return in_flight_.size(); }
 
   void serialize_state(ckpt::Serializer& s) override;
 
@@ -87,10 +89,16 @@ class Core final : public Component {
   bool clock_active_ = false;
   SimTime completion_time_ = 0;
 
+  /// A memory request awaiting its response.
+  struct InFlight {
+    bool is_load;
+    SimTime issued;  // loads only, for load_latency_ps
+  };
+
   unsigned outstanding_loads_ = 0;
   unsigned outstanding_stores_ = 0;
   std::uint64_t next_req_id_ = 1;
-  std::map<std::uint64_t, bool> in_flight_;  // req_id -> is_load
+  std::unordered_map<std::uint64_t, InFlight> in_flight_;  // key: req_id
 
   Counter* instructions_;
   Counter* flops_;
@@ -101,7 +109,6 @@ class Core final : public Component {
   Counter* stall_cycles_;
   Counter* sleeps_;
   Accumulator* load_latency_;
-  std::map<std::uint64_t, SimTime> issue_time_;
 };
 
 }  // namespace sst::proc

@@ -17,10 +17,14 @@
 #include "ckpt/serializer.h"
 #include "core/factory.h"
 #include "core/sst.h"
+#include "mem/cache.h"
 #include "mem/mem_lib.h"
+#include "mem/memory_controller.h"
 #include "net/hotspot.h"
 #include "net/net_lib.h"
+#include "proc/core_model.h"
 #include "proc/proc_lib.h"
+#include "sdl/config_graph.h"
 #include "vm/vm_lib.h"
 
 namespace sst::ckpt {
@@ -93,6 +97,56 @@ TEST(MigrationPack, RoundTripsEveryRegisteredType) {
 
     EXPECT_EQ(pack_state(*c), first) << type << ": state changed across "
                                      << "a pack/unpack round trip";
+  }
+}
+
+TEST(MigrationPack, RoundTripsMidFlightMemoryPath) {
+  // RoundTripsEveryRegisteredType only sees freshly built components,
+  // whose in-flight tables are empty.  Stop a GUPS node mid-stream, with
+  // several requests outstanding at the core, the cache and the
+  // controller, and round-trip those tables (hash maps written in
+  // ordered-map layout) too.
+  register_all_libraries();
+  const char* doc = R"({
+    "config": {"seed": 5, "end_time": "3us"},
+    "components": [
+      {"name": "cpu", "type": "proc.Core",
+       "params": {"clock": "2GHz", "issue_width": 4, "max_loads": 16,
+                  "workload": "gups", "table": "16MiB", "updates": 100000}},
+      {"name": "l1", "type": "mem.Cache",
+       "params": {"size": "32KiB", "assoc": 4, "hit_latency": "1ns",
+                  "mshrs": 16}},
+      {"name": "mc", "type": "mem.MemoryController",
+       "params": {"backend": "dram", "preset": "DDR3"}}
+    ],
+    "links": [
+      {"from": "cpu", "from_port": "mem", "to": "l1", "to_port": "cpu",
+       "latency": "500ps"},
+      {"from": "l1", "from_port": "mem", "to": "mc", "to_port": "cpu",
+       "latency": "2ns"}
+    ]
+  })";
+  auto sim = sdl::ConfigGraph::from_json_text(doc).build();
+  sim->run();
+  auto* core = dynamic_cast<proc::Core*>(sim->find_component("cpu"));
+  auto* l1 = dynamic_cast<mem::Cache*>(sim->find_component("l1"));
+  auto* mc = dynamic_cast<mem::MemoryController*>(sim->find_component("mc"));
+  ASSERT_NE(core, nullptr);
+  ASSERT_NE(l1, nullptr);
+  ASSERT_NE(mc, nullptr);
+  ASSERT_FALSE(core->done());
+  EXPECT_GT(core->in_flight(), 1u);
+  EXPECT_GT(l1->mshrs_in_use(), 1u);
+  EXPECT_GT(mc->in_flight(), 1u);
+
+  for (Component* c : std::initializer_list<Component*>{core, l1, mc}) {
+    std::vector<std::byte> first = pack_state(*c);
+    Serializer unpack{std::vector<std::byte>(first)};
+    c->serialize_state(unpack);
+    EXPECT_TRUE(unpack.exhausted()) << c->name() << ": pack not fully "
+                                    << "consumed";
+    EXPECT_EQ(pack_state(*c), first) << c->name() << ": state changed "
+                                     << "across a pack/unpack round trip";
   }
 }
 

@@ -12,6 +12,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,6 +40,13 @@ T round_trip(const T& value) {
   unpack & out;
   EXPECT_TRUE(unpack.exhausted()) << "trailing bytes after unpack";
   return out;
+}
+
+template <typename T>
+std::vector<std::byte> packed(T value) {
+  Serializer pack(Serializer::Mode::kPack);
+  pack & value;
+  return std::move(pack.buffer());
 }
 
 TEST(SerializerRoundTrip, Primitives) {
@@ -96,6 +104,13 @@ TEST(SerializerRoundTrip, Containers) {
       map[gen()] = random_string(gen, 40);
     }
     EXPECT_EQ(round_trip(map), map);
+
+    // An unordered_map packs to the bytes of the std::map with the same
+    // contents, whatever its hash order.
+    std::unordered_map<std::uint64_t, std::string> hashed(map.begin(),
+                                                           map.end());
+    EXPECT_EQ(round_trip(hashed), hashed);
+    EXPECT_EQ(packed(hashed), packed(map));
 
     std::vector<bool> bits(gen() % 64);
     for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = (gen() & 1) != 0;

@@ -59,6 +59,19 @@ TEST(Params, BadIntegerThrows) {
   EXPECT_EQ(p.find<std::int32_t>("n", 0), -5);
 }
 
+TEST(Params, NonFiniteDoubleRejected) {
+  Params p;
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-Infinity", "1e999",
+                           "-1e999", "nanGHz", "infB"}) {
+    p.set("x", text);
+    EXPECT_THROW((void)p.find<double>("x", 1.0), ConfigError) << text;
+  }
+  p.set("x", "1e308");
+  EXPECT_DOUBLE_EQ(p.find<double>("x", 1.0), 1e308);
+  p.set("x", "-0.5");
+  EXPECT_DOUBLE_EQ(p.find<double>("x", 1.0), -0.5);
+}
+
 TEST(Params, Arrays) {
   Params p;
   p.set("dims", "4, 8,16");

@@ -231,7 +231,9 @@ TEST_P(DramPresetProperties, StreamBeatsRandomAndRespectsPeak) {
     SimTime t = 0, last = 0;
     std::size_t n = 0;
     while (n < kLines) {
-      for (const auto& c : d.advance(t)) {
+      std::vector<mem::MemCompletion> done;
+      d.advance(t, done);
+      for (const auto& c : done) {
         last = std::max(last, c.time);
         ++n;
       }

@@ -80,5 +80,17 @@ expect 2 "daemon-id alone"    "$SSTSIM" --daemon-id r1
 expect 2 "daemon + restart"   "$SSTSIM" --daemon "$WORK/d.sock" \
                               --restart "$WORK/ckpt"
 
+# Non-finite double parameters are configuration errors (2): a NaN bit
+# error rate must not silently turn ECC sampling off, and a NaN bandwidth
+# must not reach the burst-time cast.
+expect 2 "nan ecc ber"     "$SSTSIM" "$MODELS/vm_storm.json" \
+                           --override /components/mc/params/ber=nan
+expect 2 "nan bandwidth"   "$SSTSIM" "$MODELS/vm_storm.json" \
+                           --override /components/mc/params/backend=simple \
+                           --override /components/mc/params/bandwidth_gbs=nan
+expect 2 "inf bandwidth"   "$SSTSIM" "$MODELS/vm_storm.json" \
+                           --override /components/mc/params/backend=simple \
+                           --override /components/mc/params/bandwidth_gbs=inf
+
 if [ "$fail" -ne 0 ]; then exit 1; fi
 echo "exit_codes: all codes as documented"
