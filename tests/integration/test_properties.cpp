@@ -2,6 +2,7 @@
 // whole configuration space, not just hand-picked examples.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/sst.h"
@@ -93,9 +94,9 @@ INSTANTIATE_TEST_SUITE_P(
 // for every cache geometry.
 // ---------------------------------------------------------------------
 
-using CacheGeom = std::tuple<const char*, unsigned, unsigned>;  // size,
-                                                                // assoc,
-                                                                // mshrs
+// size, assoc, mshrs. The size is a std::string, not a const char*: gtest
+// prints a pointer's address into the listed test name, which changed per run.
+using CacheGeom = std::tuple<std::string, unsigned, unsigned>;
 
 class CacheConservation : public ::testing::TestWithParam<CacheGeom> {};
 
