@@ -36,15 +36,11 @@ namespace {
 using namespace sst;
 
 RunStats run_phold_once(unsigned ranks, PartitionStrategy part, unsigned x,
-                        unsigned y, SimTime end,
-                        SyncMode mode = SyncMode::kConservative,
-                        SimTime lax_skew = 0) {
+                        unsigned y, SimTime end) {
   Simulation sim(SimConfig{.num_ranks = ranks,
                            .end_time = end,
                            .seed = 11,
-                           .partition = part,
-                           .sync_mode = mode,
-                           .lax_skew = lax_skew});
+                           .partition = part});
   Params p;
   p.set("fanout", "4");
   p.set("initial_events", "4");
@@ -74,12 +70,10 @@ RunStats run_phold_once(unsigned ranks, PartitionStrategy part, unsigned x,
 /// determinism contract), so the minimum wall time is the run least
 /// perturbed by the host scheduler.
 RunStats run_phold(unsigned ranks, PartitionStrategy part, unsigned x,
-                   unsigned y, SimTime end, unsigned repeat,
-                   SyncMode mode = SyncMode::kConservative,
-                   SimTime lax_skew = 0) {
-  RunStats best = run_phold_once(ranks, part, x, y, end, mode, lax_skew);
+                   unsigned y, SimTime end, unsigned repeat) {
+  RunStats best = run_phold_once(ranks, part, x, y, end);
   for (unsigned i = 1; i < repeat; ++i) {
-    const RunStats s = run_phold_once(ranks, part, x, y, end, mode, lax_skew);
+    const RunStats s = run_phold_once(ranks, part, x, y, end);
     if (s.wall_seconds < best.wall_seconds) best = s;
   }
   return best;
@@ -155,7 +149,6 @@ struct BenchRow {
   unsigned ranks;
   const char* partitioner;
   RunStats stats;
-  const char* sync_mode = "conservative";
   const char* scenario = "phold";
   bool rebalance = false;
 };
@@ -184,14 +177,14 @@ void write_json(const std::string& path, const std::vector<BenchRow>& rows,
     const RunStats& s = r.stats;
     std::fprintf(
         f,
-        "    {\"ranks\": %u, \"partitioner\": \"%s\", \"sync_mode\": \"%s\", "
+        "    {\"ranks\": %u, \"partitioner\": \"%s\", "
         "\"scenario\": \"%s\", \"rebalance\": %s, "
         "\"events\": %llu, "
         "\"sync_windows\": %llu, \"cross_rank_events\": %llu, "
         "\"cross_rank_fraction\": %.4f, \"cut_links\": %llu, "
         "\"rebalances\": %llu, \"components_moved\": %llu, "
         "\"wall_seconds\": %.4f, \"events_per_sec\": %.0f}%s\n",
-        r.ranks, r.partitioner, r.sync_mode, r.scenario,
+        r.ranks, r.partitioner, r.scenario,
         r.rebalance ? "true" : "false",
         static_cast<unsigned long long>(s.events_processed),
         static_cast<unsigned long long>(s.sync_windows),
@@ -281,35 +274,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.events_processed));
   }
 
-  // E17 — synchronization-mode comparison (see DESIGN.md "Synchronization
-  // modes").  Conservative rows above double as the baseline; adaptive
-  // stays causally exact (identical event totals); lax buys throughput by
-  // collapsing barrier windows, bounded by a 2us skew budget (10x the
-  // conservative 200ns window on this torus).
-  constexpr SimTime kLaxSkew = 2 * kMicrosecond;
-  std::printf("\nE17 sync-mode comparison (same torus, mincut, lax skew %lluns)\n",
-              static_cast<unsigned long long>(kLaxSkew / kNanosecond));
-  std::printf("%-6s %-12s %12s %10s %12s %10s\n", "ranks", "mode", "events",
-              "windows", "evts/window", "Mevt/s");
-  for (unsigned ranks : {1u, 2u, 4u, 8u}) {
-    for (SyncMode mode :
-         {SyncMode::kAdaptive, SyncMode::kLax}) {
-      const SimTime skew = mode == SyncMode::kLax ? kLaxSkew : 0;
-      const RunStats s = run_phold(ranks, PartitionStrategy::kMinCut, 16, 16,
-                                   end, repeat, mode, skew);
-      rows.push_back({ranks, "mincut", s, sync_mode_name(mode)});
-      const double per_window =
-          s.sync_windows ? static_cast<double>(s.events_processed) /
-                               static_cast<double>(s.sync_windows)
-                         : static_cast<double>(s.events_processed);
-      std::printf("%-6u %-12s %12llu %10llu %12.1f %10.2f\n", ranks,
-                  sync_mode_name(mode),
-                  static_cast<unsigned long long>(s.events_processed),
-                  static_cast<unsigned long long>(s.sync_windows), per_window,
-                  s.events_per_second() / 1e6);
-    }
-  }
-
   // E19 — online repartitioning on a moving hotspot (16x16 torus).  The
   // static rows keep the initial min-cut partition; the rebalanced rows
   // migrate components at sync barriers when the per-epoch event-rate
@@ -322,7 +286,7 @@ int main(int argc, char** argv) {
     for (bool rebal : {false, true}) {
       if (ranks == 1 && rebal) continue;  // no ranks to balance across
       const RunStats s = run_hotspot(ranks, rebal, 16, 16, end, repeat);
-      rows.push_back({ranks, "mincut", s, "conservative", "hotspot", rebal});
+      rows.push_back({ranks, "mincut", s, "hotspot", rebal});
       std::printf("%-6u %-10s %12llu %10llu %10llu %10llu %10.2f\n", ranks,
                   rebal ? "rebalanced" : "static",
                   static_cast<unsigned long long>(s.events_processed),

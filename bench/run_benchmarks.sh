@@ -10,7 +10,7 @@
 #   {"baseline": {...},   # first recorded measurement, kept forever
 #    "current":  {...},   # this run
 #    "speedup":  {...}}   # current/baseline events/sec, serial and 4-rank,
-#                         # plus lax-vs-conservative at 8 ranks
+#                         # plus rebalanced-vs-static hotspot at 4/8 ranks
 #
 # The baseline section is preserved across reruns so every PR has a
 # before/after record; delete BENCH_pdes.json to re-seed it.
@@ -19,10 +19,6 @@
 #   SST_BENCH_END_US   simulated microseconds per configuration
 #                      (default 2000; CI smoke uses 200)
 #   SST_BENCH_REPEAT   repeats per configuration, fastest kept (default 3)
-#   SST_BENCH_MIN_LAX_SPEEDUP
-#                      when set (e.g. "1.2"), fail unless lax events/sec at
-#                      8 ranks is at least this multiple of conservative
-#                      (the CI sync-modes job gate)
 #   SST_BENCH_MIN_REBALANCE_SPEEDUP
 #                      when set (e.g. "1.25"), fail unless rebalanced
 #                      events/sec on the 8-rank moving-hotspot scenario is
@@ -69,13 +65,13 @@ except (OSError, ValueError):
     doc = {}
     baseline = current
 
-def eps(doc, ranks, part="mincut", sync="conservative", scenario="phold",
-        rebalance=False):
+def eps(doc, ranks, part="mincut", scenario="phold", rebalance=False):
     for run in doc.get("runs", []):
-        # Rows predating the sync-mode/scenario/rebalance columns are
-        # conservative static-partition PHOLD runs.
+        # Rows predating the scenario/rebalance columns are static-partition
+        # PHOLD runs; rows of the removed adaptive/lax sync modes (older
+        # baselines) are skipped.
         if (run["ranks"] == ranks and run["partitioner"] == part
-                and run.get("sync_mode", "conservative") == sync
+                and run.get("sync_mode", "conservative") == "conservative"
                 and run.get("scenario", "phold") == scenario
                 and run.get("rebalance", False) == rebalance):
             return run["events_per_sec"]
@@ -86,11 +82,6 @@ for label, ranks in (("serial", 1), ("ranks4", 4)):
     base, cur = eps(baseline, ranks), eps(current, ranks)
     if base and cur:
         speedup[label] = round(cur / base, 3)
-
-# Lax-vs-conservative at 8 ranks, within this run (the E17 headline).
-cons8, lax8 = eps(current, 8), eps(current, 8, sync="lax")
-if cons8 and lax8:
-    speedup["lax8_vs_conservative8"] = round(lax8 / cons8, 3)
 
 # Rebalanced-vs-static min-cut on the moving-hotspot scenario, within
 # this run (the E19 headline).
@@ -111,15 +102,6 @@ print(f"  baseline rev {baseline.get('git_rev', '?')}, "
       f"current rev {rev}, speedup {speedup}")
 
 import os
-gate = os.environ.get("SST_BENCH_MIN_LAX_SPEEDUP")
-if gate:
-    got = speedup.get("lax8_vs_conservative8")
-    if got is None:
-        sys.exit("lax gate: no 8-rank lax/conservative rows in this run")
-    if got < float(gate):
-        sys.exit(f"lax gate: 8-rank lax speedup {got} < required {gate}")
-    print(f"  lax gate passed: {got} >= {gate}")
-
 gate = os.environ.get("SST_BENCH_MIN_REBALANCE_SPEEDUP")
 if gate:
     got = speedup.get("rebalance8_vs_static8")

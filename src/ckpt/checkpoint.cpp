@@ -151,7 +151,7 @@ std::vector<std::byte> CheckpointEngine::capture(Simulation& sim) {
       sim.ckpt_next_mark_;
   // Rebalance bookkeeping: the epoch phase and the current group's
   // per-component counts, so a resumed run reproduces the original
-  // run's migration schedule exactly (conservative mode).
+  // run's migration schedule exactly.
   s & sim.comp_epoch_events_ & sim.rebalance_epoch_ & sim.rebalances_ &
       sim.comps_migrated_;
 
@@ -445,13 +445,11 @@ void CheckpointEngine::restore(Simulation& sim,
 
   // --- whole-engine counters ------------------------------------------
   std::uint64_t cross = 0;
-  std::uint64_t windows = 0;
-  s & cross & windows & sim.ckpt_taken_ & sim.ckpt_next_mark_;
+  s & cross & sim.run_stats_.sync_windows & sim.ckpt_taken_ &
+      sim.ckpt_next_mark_;
   s & sim.comp_epoch_events_ & sim.rebalance_epoch_ & sim.rebalances_ &
       sim.comps_migrated_;
   sim.cross_rank_events_.store(cross, std::memory_order_relaxed);
-  sim.run_stats_.sync_windows = windows;
-  sim.ckpt_windows_base_ = windows;
 
   // --- statistics ------------------------------------------------------
   std::uint64_t nstats = 0;

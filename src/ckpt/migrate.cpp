@@ -81,27 +81,17 @@ void Migrator::migrate(Simulation& sim, ComponentId comp_id, RankId to) {
   comp.rank_ = to;
 
   // --- 5. Re-insert the pending events into the target vortex, handler
-  // recomputed from the source link (Link objects never move).  In
-  // conservative/adaptive modes every pending event is at or above the
-  // last horizon, hence above dst.now — no correction can trigger.  In
-  // lax mode a previously corrected straggler may sit below the target
-  // rank's clock; it gets the standard bounded straggler correction.
+  // recomputed from the source link (Link objects never move).  Every
+  // pending event is at or above the last horizon, hence above dst.now.
   for (auto& ev : events) {
     ev->handler_ = &sim.links_[ev->link_id_]->peer_->handler_;
-    if (sim.lax_active_ && ev->delivery_time_ < dst.now) {
-      const SimTime skew = dst.now - ev->delivery_time_;
-      ev->delivery_time_ = dst.now;
-      ++dst.lax_stragglers;
-      if (skew > dst.lax_max_skew) dst.lax_max_skew = skew;
-    }
     dst.vortex.insert(std::move(ev));
   }
 
   // --- 6. Re-home clock handlers tick-exactly.  At a sync barrier every
   // armed clock of period p has pending cycle ceil(H/p) for the shared
-  // horizon H (all modes — lax ranks share the extended horizon too), so
-  // the source clock's pending cycle is exactly the cycle the target
-  // clock must tick next.
+  // horizon H, so the source clock's pending cycle is exactly the cycle
+  // the target clock must tick next.
   struct ClockMove {
     SimTime period = 0;
     Cycle pending = 0;

@@ -1,51 +1,6 @@
-#include "core/sync_policy.h"
-
-#include <string>
+#include "core/rebalance.h"
 
 namespace sst {
-
-const char* sync_mode_name(SyncMode mode) {
-  switch (mode) {
-    case SyncMode::kConservative: return "conservative";
-    case SyncMode::kAdaptive: return "adaptive";
-    case SyncMode::kLax: return "lax";
-  }
-  return "?";
-}
-
-AdaptiveWindowController::AdaptiveWindowController(SimTime min_window,
-                                                  SimTime max_window)
-    : min_window_(min_window),
-      max_window_(max_window),
-      window_(min_window) {
-  if (min_window_ < 1) {
-    throw ConfigError("adaptive window: min_window must be >= 1ps");
-  }
-  if (max_window_ < min_window_) {
-    throw ConfigError("adaptive window: max_window " +
-                      std::to_string(max_window_) +
-                      "ps is smaller than min_window " +
-                      std::to_string(min_window_) + "ps");
-  }
-}
-
-SimTime AdaptiveWindowController::update(const SyncEpochStats& stats) {
-  // An epoch that retired nothing was pure synchronization overhead —
-  // treat it like a fully barrier-bound epoch.
-  const bool grow = stats.events_processed == 0 ||
-                    stats.barrier_wait_fraction >= kGrowThreshold;
-  const bool shrink =
-      !grow && stats.barrier_wait_fraction <= kShrinkThreshold;
-  if (grow) {
-    window_ = (window_ > max_window_ / kStepFactor) ? max_window_
-                                                    : window_ * kStepFactor;
-  } else if (shrink) {
-    window_ = window_ / kStepFactor;
-  }
-  if (window_ < min_window_) window_ = min_window_;
-  if (window_ > max_window_) window_ = max_window_;
-  return window_;
-}
 
 RebalanceController::RebalanceController(RebalanceConfig cfg,
                                          std::uint32_t num_ranks)

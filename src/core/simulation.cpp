@@ -17,9 +17,17 @@
 namespace sst {
 
 namespace {
-// Largest sync window used when partitions share no links (infinite
-// lookahead would otherwise let a rank run past a primary-exit decision).
+// Largest sync window.  It bounds the window when no rank has outgoing
+// cut links (the causal horizon is then infinite), so ranks still meet
+// for termination votes and checkpoints instead of running past a
+// primary-exit decision.
 constexpr SimTime kMaxSyncWindow = 10 * kMicrosecond;
+
+// a + b, saturating at kTimeNever.
+SimTime sat_add(SimTime a, SimTime b) {
+  return a >= kTimeNever - b ? kTimeNever : a + b;
+}
+
 // Safety valve for init phases (a component that stages data every phase
 // forever is a bug, not a workload).
 constexpr unsigned kMaxInitPhases = 64;
@@ -525,52 +533,13 @@ void Simulation::initialize() {
   if (state_ != State::kBuilding) return;
   assign_ranks();
   wire_links();
-  // Synchronization-mode validation.  Serial runs ignore the mode (there
-  // is nothing to synchronize), so the rules below only bind when the
-  // run is actually parallel.
-  if (config_.num_ranks > 1) {
-    if (config_.sync_mode == SyncMode::kLax) {
-      if (config_.lax_skew < 1) {
-        throw ConfigError(
-            "sync: lax mode needs a skew bound of >= 1ps "
-            "(--lax-skew, or \"lax_skew\" in the SDL config section)");
-      }
-      if (config_.checkpoint_period > 0 || config_.checkpoint_wall > 0) {
-        throw ConfigError(
-            "sync: checkpointing requires conservative or adaptive "
-            "synchronization; lax mode corrects event timestamps, so a "
-            "snapshot could not resume bit-exactly");
-      }
-    } else if (config_.lax_skew > 0) {
-      throw ConfigError(
-          "sync: lax_skew is only meaningful with sync_mode=lax (current "
-          "mode: " +
-          std::string(sync_mode_name(config_.sync_mode)) + ")");
-    }
-    if (config_.sync_mode == SyncMode::kAdaptive &&
-        config_.sync_window_max > 0 && config_.sync_window_max < lookahead_) {
-      throw ConfigError(
-          "sync: sync_window_max " + std::to_string(config_.sync_window_max) +
-          "ps is smaller than the conservative lookahead of " +
-          std::to_string(lookahead_) +
-          "ps; the adaptive window never shrinks below the lookahead");
-    }
-  }
   // Online rebalancing: serial runs ignore the flag (there is only one
-  // rank), matching the sync-mode rules above.  The controller validates
-  // the tuning; lax mode gets a derived, more aggressive variant — lax
-  // already trades strict reproducibility for throughput, so it may
-  // chase imbalance harder.
+  // rank).  The controller validates the tuning.
   if (config_.rebalance && config_.num_ranks > 1) {
     RebalanceConfig rc;
     rc.threshold = config_.rebalance_threshold;
     rc.period = config_.rebalance_period;
     rc.max_moves = config_.rebalance_max_moves;
-    if (config_.sync_mode == SyncMode::kLax) {
-      rc.threshold = 1.0 + (rc.threshold - 1.0) / 2.0;
-      rc.period = std::max<std::uint64_t>(1, rc.period / 2);
-      rc.max_moves = rc.max_moves * 2;
-    }
     rebalance_ctl_ =
         std::make_unique<RebalanceController>(rc, config_.num_ranks);
     comp_epoch_events_.assign(components_.size(), 0);
@@ -660,23 +629,6 @@ void Simulation::drain_mailbox(RankState& rank) {
             [](const EventPtr& a, const EventPtr& b) {
               return EventOrder{}(*a, *b);
             });
-  if (lax_active_) {
-    // Lax contract: a straggler (an event whose timestamp this rank has
-    // already run past) is applied at the rank's current time instead of
-    // being delivered into the past.  The correction is < the configured
-    // skew: arrivals are >= the previous window's conservative horizon,
-    // and rank.now < that horizon + skew.  The vector is time-sorted, so
-    // stragglers form a prefix; corrected events keep their deterministic
-    // (priority, source, sequence) order at the corrected time.
-    const SimTime now = rank.now;
-    for (auto& ev : incoming) {
-      if (ev->delivery_time_ >= now) break;
-      const SimTime skew = now - ev->delivery_time_;
-      ev->delivery_time_ = now;
-      ++rank.lax_stragglers;
-      if (skew > rank.lax_max_skew) rank.lax_max_skew = skew;
-    }
-  }
   for (auto& ev : incoming) rank.vortex.insert(std::move(ev));
   // The swap left the (empty) scratch capacity in the mailbox; clearing
   // here leaves this window's capacity staged for the next drain.
@@ -815,18 +767,6 @@ RunStats Simulation::run() {
   for (const auto& r : ranks_) run_stats_.exchange_flushes += r.outbox_flushes;
   run_stats_.cut_links = cut_links_;
   run_stats_.lookahead = config_.num_ranks > 1 ? lookahead_ : 0;
-  run_stats_.sync_mode = config_.sync_mode;
-  run_stats_.lax_stragglers = 0;
-  run_stats_.lax_max_skew = 0;
-  for (const auto& r : ranks_) {
-    run_stats_.lax_stragglers += r.lax_stragglers;
-    run_stats_.lax_max_skew = std::max(run_stats_.lax_max_skew,
-                                       r.lax_max_skew);
-  }
-  if (lax_straggler_stat_ != nullptr) {
-    lax_straggler_stat_->add(run_stats_.lax_stragglers);
-    lax_skew_stat_->add(static_cast<double>(run_stats_.lax_max_skew));
-  }
   run_stats_.rebalances = rebalances_;
   run_stats_.components_migrated = comps_migrated_;
   run_stats_.checkpoints = ckpt_taken_;
@@ -918,217 +858,28 @@ void Simulation::rank_process_until(RankId me, SimTime horizon) {
 
 void Simulation::run_parallel() {
   const unsigned R = config_.num_ranks;
-  struct Sync {
-    SimTime horizon = 0;
-    bool done = false;
-  };
-  Sync sync;
-  std::uint64_t windows = 0;
-  bool priming = true;  // the first call computes the initial horizon only
-
-  const bool adaptive = config_.sync_mode == SyncMode::kAdaptive;
-  const bool lax = config_.sync_mode == SyncMode::kLax;
-  lax_active_ = lax;
   // Rebalance accounting: per-component counters written only by the
   // owning rank's thread during a window and read at the barrier.
   rebalance_accounting_ = rebalance_ctl_ != nullptr;
   rank_epoch_mark_.assign(R, 0);
-  // Adaptive window controller: starts at the conservative lookahead and
-  // earns larger windows from measured barrier overhead.  Bounds were
-  // validated in initialize(), so the constructor cannot throw here.
-  const SimTime max_window =
-      config_.sync_window_max > 0
-          ? config_.sync_window_max
-          : std::max(lookahead_, kMaxSyncWindow);
-  AdaptiveWindowController controller(lookahead_, max_window);
-  // Epoch bookkeeping for the controller (single-threaded inside the
-  // barrier completion, so plain members suffice).
-  auto epoch_wall_last = std::chrono::steady_clock::now();
-  double epoch_barrier_last = 0.0;
-  std::uint64_t epoch_events_last = 0;
-  run_stats_.min_window = 0;
-  run_stats_.max_window = 0;
-
-  auto compute_sync = [this, &sync, &windows, &priming, adaptive, lax,
-                       &controller, &epoch_wall_last, &epoch_barrier_last,
-                       &epoch_events_last, R]() noexcept {
-    ++windows;
-    if (watchdog_fired_.load(std::memory_order_relaxed)) {
-      sync.done = true;
-      return;
-    }
-    SimTime global_min = kTimeNever;
-    for (const auto& r : ranks_) {
-      global_min = std::min(global_min, r.vortex.next_time());
-    }
-    if (primaries_done() || global_min == kTimeNever ||
-        global_min > config_.end_time) {
-      sync.done = true;
-      if (global_min > config_.end_time && config_.end_time != kTimeNever) {
-        for (auto& r : ranks_) r.now = config_.end_time;
-      }
-      return;
-    }
-    // Rebalance check — before the window is computed: a migration can
-    // create a new cut link with a smaller latency, and the next horizon
-    // must honour the new lookahead to stay causal.  The epoch counter
-    // advances on sync windows only (deterministic in conservative mode,
-    // where window boundaries are a pure function of the event times).
-    if (rebalance_ctl_ != nullptr && !priming &&
-        ++rebalance_epoch_ >= rebalance_ctl_->config().period) {
-      rebalance_epoch_ = 0;
-      maybe_rebalance(global_min);
-      if (!rebalance_error_.empty()) {
-        sync.done = true;
-        return;
-      }
-    }
-    SimTime window = lookahead_;
-    if (adaptive) {
-      const auto wall_now = std::chrono::steady_clock::now();
-      if (!priming) {
-        // Feed the finished epoch to the controller: how much of its wall
-        // time the ranks spent parked, how much work it retired, and how
-        // deep the queues are now.
-        const double epoch_wall =
-            std::chrono::duration<double>(wall_now - epoch_wall_last)
-                .count();
-        double barrier_total = 0.0;
-        std::uint64_t events_total = 0;
-        std::uint64_t depth_total = 0;
-        for (const auto& r : ranks_) {
-          barrier_total += r.barrier_wait_seconds;
-          events_total += r.events;
-          depth_total += r.vortex.size();
-        }
-        SyncEpochStats es;
-        if (epoch_wall > 0.0) {
-          es.barrier_wait_fraction = std::min(
-              1.0, std::max(0.0, (barrier_total - epoch_barrier_last) /
-                                     (static_cast<double>(R) * epoch_wall)));
-        }
-        es.events_processed = events_total - epoch_events_last;
-        es.vortex_depth = depth_total;
-        window = controller.update(es);
-        epoch_barrier_last = barrier_total;
-        epoch_events_last = events_total;
-      }
-      epoch_wall_last = wall_now;
-      // Causal cap: rank r cannot influence any other rank before its
-      // next event time plus its minimum cross-rank out-latency, so the
-      // minimum of those bounds is the exact conservative horizon.  It is
-      // never below global_min + lookahead, so adaptive never synchronizes
-      // more often than conservative — and never violates causality.
-      SimTime safe = kTimeNever;
-      for (std::size_t r = 0; r < ranks_.size(); ++r) {
-        const SimTime next = ranks_[r].vortex.next_time();
-        if (next == kTimeNever || rank_min_out_[r] == kTimeNever) continue;
-        safe = std::min(safe, (next >= kTimeNever - rank_min_out_[r])
-                                  ? kTimeNever
-                                  : next + rank_min_out_[r]);
-      }
-      if (safe != kTimeNever && window > safe - global_min) {
-        window = safe - global_min;
-      }
-    }
-    if (lax) {
-      // Ranks may run up to lax_skew past the conservative bound; the
-      // resulting stragglers are corrected forward in drain_mailbox by
-      // strictly less than that skew.
-      window = (window >= kTimeNever - config_.lax_skew)
-                   ? kTimeNever
-                   : window + config_.lax_skew;
-    }
-    if (!priming) {
-      if (run_stats_.min_window == 0 || window < run_stats_.min_window) {
-        run_stats_.min_window = window;
-      }
-      if (window > run_stats_.max_window) run_stats_.max_window = window;
-      if (window_stat_ != nullptr) {
-        window_stat_->add(static_cast<double>(window));
-      }
-    }
-    const SimTime horizon = (global_min >= kTimeNever - window)
-                                ? kTimeNever
-                                : global_min + window;
-    sync.horizon = (config_.end_time == kTimeNever)
-                       ? horizon
-                       : std::min(horizon, config_.end_time + 1);
-    // Engine observability: runs single-threaded here (every rank thread
-    // is parked in the barrier), so reading all rank states is safe.
-    if (priming) {
-      // Arm the checkpoint period mark from the first event time, so a
-      // restarted run reproduces the original checkpoint schedule.
-      if (checkpointing()) (void)checkpoint_due(global_min, false);
-      return;
-    }
-    if (tracer_ && config_.trace_engine) {
-      tracer_->record_window(global_min, sync.horizon, windows);
-    }
-    if (config_.profile_engine && !engine_stats_.empty()) {
-      // Per-rank events retired this epoch, and the epoch imbalance
-      // ratio (max/mean) — what the rebalance controller sees, visible
-      // without tracing.
-      std::uint64_t epoch_max = 0;
-      std::uint64_t epoch_total = 0;
-      for (std::size_t r = 0; r < ranks_.size(); ++r) {
-        const std::uint64_t d = ranks_[r].events - rank_epoch_mark_[r];
-        epoch_total += d;
-        if (d > epoch_max) epoch_max = d;
-      }
-      const double epoch_imbalance =
-          epoch_total == 0
-              ? 0.0
-              : static_cast<double>(epoch_max) * static_cast<double>(R) /
-                    static_cast<double>(epoch_total);
-      if (imbalance_stat_ != nullptr && epoch_total > 0) {
-        imbalance_stat_->add(epoch_imbalance);
-      }
-      for (std::size_t r = 0; r < ranks_.size(); ++r) {
-        const RankState& rs = ranks_[r];
-        const std::uint64_t epoch_events = rs.events - rank_epoch_mark_[r];
-        rank_epoch_mark_[r] = rs.events;
-        engine_stats_[r].vortex_depth->add(
-            static_cast<double>(rs.vortex.size()));
-        if (metrics_) {
-          std::string payload = "{\"events\":" + std::to_string(rs.events) +
-                                ",\"epoch_events\":" +
-                                std::to_string(epoch_events) +
-                                ",\"imbalance\":" +
-                                obs::json_number(epoch_imbalance) +
-                                ",\"vortex_depth\":" +
-                                std::to_string(rs.vortex.size()) +
-                                ",\"mailbox_received\":" +
-                                std::to_string(rs.mailbox_received) +
-                                ",\"barrier_wait_s\":" +
-                                obs::json_number(rs.barrier_wait_seconds) +
-                                "}";
-          metrics_->record_engine(static_cast<RankId>(r), global_min,
-                                  std::move(payload));
-        }
-      }
-    }
-    // Safe point: every rank thread is parked in the barrier and the
-    // mailboxes are drained, so the global state is a consistent cut.
-    // Runs after the window's observability so the snapshot carries this
-    // window's records (the restarted run's priming pass skips them).
-    run_stats_.sync_windows = ckpt_windows_base_ + windows;
-    if (checkpointing() && checkpoint_due(global_min, true)) {
-      take_checkpoint();
-    }
-  };
 
   // Cross-rank events sent during setup() are sitting in mailboxes; they
   // must be in the vortices before the first horizon is computed or the
   // first window could run past them.
   for (auto& r : ranks_) drain_mailbox(r);
-  compute_sync();
-  --windows;  // the priming call is not a sync round
-  priming = false;
+  const SimTime first = next_window_start();
+  window_done_ = first == kTimeNever;
+  if (!window_done_) {
+    // Arm the checkpoint period mark from the first event time, so a
+    // restarted run reproduces the original checkpoint schedule.
+    if (checkpointing()) (void)checkpoint_due(first, false);
+    horizon_ = next_horizon(first);
+  }
 
+  auto completion = [this]() noexcept { complete_window(); };
   std::barrier after_send(static_cast<std::ptrdiff_t>(R));
-  std::barrier<decltype(compute_sync)> after_drain(
-      static_cast<std::ptrdiff_t>(R), compute_sync);
+  std::barrier<decltype(completion)> after_drain(
+      static_cast<std::ptrdiff_t>(R), completion);
 
   // Window-batched exchange: every rank gets one staging buffer per
   // destination; sends inside a window are lock-free appends, flushed
@@ -1136,10 +887,8 @@ void Simulation::run_parallel() {
   for (auto& r : ranks_) r.outbox.resize(R);
   exchange_batching_ = true;
 
-  // Barrier timing feeds both the profiler and the adaptive controller.
-  const bool time_barriers = config_.profile_engine || adaptive;
-  auto worker = [this, &sync, &after_send, &after_drain,
-                 time_barriers](RankId me) {
+  const bool time_barriers = config_.profile_engine;
+  auto worker = [this, &after_send, &after_drain, time_barriers](RankId me) {
     auto wait = [this, me, time_barriers](auto& barrier) {
       if (!time_barriers) {
         barrier.arrive_and_wait();
@@ -1161,8 +910,8 @@ void Simulation::run_parallel() {
                            ckpt0);
       if (waited > 0) ranks_[me].barrier_wait_seconds += waited;
     };
-    while (!sync.done) {
-      rank_process_until(me, sync.horizon);
+    while (!window_done_) {
+      rank_process_until(me, horizon_);
       flush_outbox(me);
       wait(after_send);
       drain_mailbox(ranks_[me]);
@@ -1178,15 +927,121 @@ void Simulation::run_parallel() {
   worker(0);
   for (auto& t : threads) t.join();
   exchange_batching_ = false;
-  lax_active_ = false;
   rebalance_accounting_ = false;
-  run_stats_.sync_windows = ckpt_windows_base_ + windows;
   if (!rebalance_error_.empty()) {
     // A half-applied migration leaves an inconsistent partition; the run
     // cannot continue.  (Never expected: the migrator only throws on
     // engine invariant violations.)
     throw SimulationError("rebalance: migration failed: " +
                           rebalance_error_);
+  }
+}
+
+SimTime Simulation::next_window_start() {
+  if (watchdog_fired_.load(std::memory_order_relaxed)) return kTimeNever;
+  SimTime global_min = kTimeNever;
+  for (const auto& r : ranks_) {
+    global_min = std::min(global_min, r.vortex.next_time());
+  }
+  if (global_min > config_.end_time) {
+    for (auto& r : ranks_) r.now = config_.end_time;
+    return kTimeNever;
+  }
+  if (primaries_done()) return kTimeNever;
+  return global_min;
+}
+
+SimTime Simulation::next_horizon(SimTime global_min) const {
+  // Every pending event is in a vortex (the mailboxes were drained), so
+  // the earliest event rank r can process next is at next_time(r), and
+  // anything it sends to another rank crosses a cut link of latency >=
+  // rank_min_out_[r].  No event produced in the coming window can
+  // therefore land on another rank before the minimum of those bounds,
+  // and every event below it is safe to process.  A rank with an empty
+  // queue produces nothing until it receives, which the bound of the
+  // sender already covers; a rank with no outgoing cut link never sends
+  // across ranks.
+  SimTime horizon = sat_add(global_min, kMaxSyncWindow);
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    const SimTime next = ranks_[r].vortex.next_time();
+    if (next == kTimeNever || rank_min_out_[r] == kTimeNever) continue;
+    horizon = std::min(horizon, sat_add(next, rank_min_out_[r]));
+  }
+  return std::min(horizon, sat_add(config_.end_time, 1));
+}
+
+void Simulation::complete_window() noexcept {
+  ++run_stats_.sync_windows;
+  const SimTime global_min = next_window_start();
+  if (global_min == kTimeNever) {
+    window_done_ = true;
+    return;
+  }
+  // Rebalance check — before the horizon is computed: a migration moves
+  // pending events and cut links between ranks, and the next horizon
+  // must honour both to stay causal.  The epoch counter advances on
+  // sync windows only, whose boundaries are a pure function of the
+  // event times.
+  if (rebalance_ctl_ != nullptr &&
+      ++rebalance_epoch_ >= rebalance_ctl_->config().period) {
+    rebalance_epoch_ = 0;
+    maybe_rebalance(global_min);
+    if (!rebalance_error_.empty()) {
+      window_done_ = true;
+      return;
+    }
+  }
+  horizon_ = next_horizon(global_min);
+  record_window(global_min);
+  // Safe point: every rank thread is parked in the barrier and the
+  // mailboxes are drained, so the global state is a consistent cut.
+  // Runs after the window's observability so the snapshot carries this
+  // window's records.
+  if (checkpointing() && checkpoint_due(global_min, true)) {
+    take_checkpoint();
+  }
+}
+
+void Simulation::record_window(SimTime global_min) {
+  if (tracer_ && config_.trace_engine) {
+    tracer_->record_window(global_min, horizon_, run_stats_.sync_windows);
+  }
+  if (!config_.profile_engine || engine_stats_.empty()) return;
+  // Per-rank events retired this epoch, and the epoch imbalance ratio
+  // (max/mean) — what the rebalance controller sees, visible without
+  // tracing.
+  std::uint64_t epoch_max = 0;
+  std::uint64_t epoch_total = 0;
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    const std::uint64_t d = ranks_[r].events - rank_epoch_mark_[r];
+    epoch_total += d;
+    if (d > epoch_max) epoch_max = d;
+  }
+  const double epoch_imbalance =
+      epoch_total == 0 ? 0.0
+                       : static_cast<double>(epoch_max) *
+                             static_cast<double>(ranks_.size()) /
+                             static_cast<double>(epoch_total);
+  if (imbalance_stat_ != nullptr && epoch_total > 0) {
+    imbalance_stat_->add(epoch_imbalance);
+  }
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    const RankState& rs = ranks_[r];
+    const std::uint64_t epoch_events = rs.events - rank_epoch_mark_[r];
+    rank_epoch_mark_[r] = rs.events;
+    engine_stats_[r].vortex_depth->add(static_cast<double>(rs.vortex.size()));
+    if (metrics_) {
+      std::string payload =
+          "{\"events\":" + std::to_string(rs.events) +
+          ",\"epoch_events\":" + std::to_string(epoch_events) +
+          ",\"imbalance\":" + obs::json_number(epoch_imbalance) +
+          ",\"vortex_depth\":" + std::to_string(rs.vortex.size()) +
+          ",\"mailbox_received\":" + std::to_string(rs.mailbox_received) +
+          ",\"barrier_wait_s\":" + obs::json_number(rs.barrier_wait_seconds) +
+          "}";
+      metrics_->record_engine(static_cast<RankId>(r), global_min,
+                              std::move(payload));
+    }
   }
 }
 
@@ -1244,9 +1099,7 @@ void Simulation::maybe_rebalance(SimTime global_min) {
       if (tracer_ && config_.trace_engine) {
         // One span per move on the engine track, spanning the barrier's
         // sync point to the first horizon the new partition computes.
-        const SimTime span_end = (global_min >= kTimeNever - lookahead_)
-                                     ? global_min
-                                     : global_min + lookahead_;
+        const SimTime span_end = next_horizon(global_min);
         for (const MigrationDecision& m : moves) {
           tracer_->record_migration(global_min, span_end, m.comp, m.from,
                                     m.to);
@@ -1413,19 +1266,6 @@ void Simulation::setup_observability() {
             return false;
           });
     }
-  }
-  if (config_.num_ranks > 1 && config_.sync_mode == SyncMode::kLax) {
-    // The lax accuracy report: always present in lax runs (it is the
-    // run's error bound, not a profiling detail).  stragglers counts the
-    // late events that were corrected; max_skew_ps is the largest
-    // correction actually applied, guaranteed < config lax_skew.
-    lax_straggler_stat_ = stats_.create<Counter>("engine.lax", "stragglers");
-    lax_skew_stat_ = stats_.create<Accumulator>("engine.lax", "max_skew_ps");
-  }
-  if (config_.profile_engine && config_.num_ranks > 1 &&
-      config_.sync_mode == SyncMode::kAdaptive) {
-    // One sample per sync epoch: the window the controller chose (ps).
-    window_stat_ = stats_.create<Accumulator>("engine.sync", "window_ps");
   }
   if (config_.profile_engine && config_.num_ranks > 1) {
     // One sample per sync epoch that retired events: the per-rank

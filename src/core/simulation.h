@@ -6,10 +6,11 @@
 //   * components are partitioned across R ranks (threads);
 //   * each rank runs its own TimeVortex;
 //   * events on links that cross ranks are exchanged through mailboxes;
-//   * the minimum latency of cross-rank links is the *lookahead*: every
-//     rank may safely process all events earlier than
-//     (global minimum next event time + lookahead) before the next
-//     synchronization, because no in-flight event can arrive earlier;
+//   * link latency is the lookahead: rank r cannot affect another rank
+//     before its next event time plus the minimum latency of its
+//     outgoing cross-rank links, so every rank may safely process all
+//     events earlier than the minimum of that bound over the ranks (the
+//     window horizon, see next_horizon) before the next synchronization;
 //   * mailbox drains sort by (time, priority, source link, source sequence)
 //     so results are bit-identical regardless of thread interleaving and
 //     identical to a serial run up to window-quantized termination.
@@ -29,7 +30,7 @@
 #include "core/component.h"
 #include "core/link.h"
 #include "core/statistics.h"
-#include "core/sync_policy.h"
+#include "core/rebalance.h"
 #include "core/time_vortex.h"
 #include "core/types.h"
 
@@ -83,28 +84,14 @@ struct SimConfig {
   /// deadlock that would otherwise end the run silently).
   bool detect_deadlock = true;
 
-  // --- synchronization (src/core/sync_policy.h) ----------------------
-  /// How parallel ranks synchronize.  kConservative (default) is the
-  /// golden-pinned fixed-lookahead engine; kAdaptive sizes windows per
-  /// epoch (still causally exact); kLax trades timestamp accuracy for
-  /// fewer barriers.  Ignored when num_ranks == 1.
-  SyncMode sync_mode = SyncMode::kConservative;
-  /// kLax only: how far ranks may run ahead of the conservative horizon.
-  /// Late cross-rank events are applied with a timestamp correction that
-  /// is always smaller than this bound.  Must be >= 1ps in lax mode.
-  SimTime lax_skew = 0;
-  /// kAdaptive only: upper clamp for the adaptive window controller
-  /// (0 = the engine's kMaxSyncWindow default of 10us).
-  SimTime sync_window_max = 0;
-
-  // --- online rebalancing (sync_policy.h + src/ckpt/migrate.h) --------
+  // --- online rebalancing (rebalance.h + src/ckpt/migrate.h) ----------
   /// Migrate components across ranks at sync barriers when the measured
   /// per-rank event-rate imbalance crosses rebalance_threshold.  The
   /// decision function is deterministic (epoch event counts + component
-  /// ids only), and a migration is invisible to the model — conservative
-  /// and adaptive runs stay byte-identical to their non-rebalanced
-  /// selves at every rank count.  Requires an installed migrator
-  /// (ckpt::install_migrator) when num_ranks > 1.  Ignored serially.
+  /// ids only), and a migration is invisible to the model — runs stay
+  /// byte-identical to their non-rebalanced selves at every rank count.
+  /// Requires an installed migrator (ckpt::install_migrator) when
+  /// num_ranks > 1.  Ignored serially.
   bool rebalance = false;
   /// Fire when max/mean per-rank epoch event rate reaches this ratio.
   double rebalance_threshold = 1.5;
@@ -171,11 +158,6 @@ struct RunStats {
   std::uint64_t pool_allocs = 0;       // fresh clock-tick allocations
   std::uint64_t pool_recycles = 0;     // tick events reused from the pool
   std::uint64_t exchange_flushes = 0;  // batched cross-rank buffer flushes
-  SyncMode sync_mode = SyncMode::kConservative;  // mode this run used
-  SimTime min_window = 0;              // smallest sync window used (parallel)
-  SimTime max_window = 0;              // largest sync window used (parallel)
-  std::uint64_t lax_stragglers = 0;    // late events given a corrected time
-  SimTime lax_max_skew = 0;            // largest correction applied (ps)
   std::uint64_t rebalances = 0;        // rebalance passes that moved >= 1
   std::uint64_t components_migrated = 0;  // cross-rank component moves
   [[nodiscard]] double events_per_second() const {
@@ -345,14 +327,9 @@ class Simulation {
     std::vector<EventPtr> drain_scratch;
     std::uint64_t outbox_flushes = 0;  // non-empty per-destination flushes
     // Self-profiler gauges (mailbox count is always maintained — one add
-    // per drain; barrier wait is measured under profile_engine and in
-    // adaptive mode, where it feeds the window controller).
+    // per drain; barrier wait is measured under profile_engine only).
     std::uint64_t mailbox_received = 0;
     double barrier_wait_seconds = 0.0;
-    // Lax mode: late cross-rank events this rank corrected forward, and
-    // the largest correction it applied.
-    std::uint64_t lax_stragglers = 0;
-    SimTime lax_max_skew = 0;
   };
 
   // Component construction context.
@@ -406,16 +383,35 @@ class Simulation {
   /// sync barrier while every rank thread is parked.
   void refresh_partition();
   /// Rebalance check at the sync barrier (single-threaded, before the
-  /// next horizon is computed — a migration can change the lookahead and
-  /// the new window must honour it).  Builds per-component loads from
-  /// comp_epoch_events_, asks the RebalanceController for a plan, and
-  /// runs the installed migrator for each decision.
+  /// next horizon is computed — a migration moves pending events and cut
+  /// links between ranks, and the new window must honour both).  Builds
+  /// per-component loads from comp_epoch_events_, asks the
+  /// RebalanceController for a plan, and runs the installed migrator for
+  /// each decision.
   void maybe_rebalance(SimTime global_min);
   void assign_ranks();
   void assign_ranks_mincut();
   void run_init_phases();
   void run_serial();
   void run_parallel();
+  // Parallel window steps.  Each runs single-threaded: before the worker
+  // threads start, or inside the barrier completion while every rank
+  // thread is parked and every mailbox is drained.
+  /// Earliest pending event time over all ranks, or kTimeNever when the
+  /// run is over (watchdog fired, primaries done, queues drained, or the
+  /// next event lies past end_time — the rank clocks then stop there).
+  [[nodiscard]] SimTime next_window_start();
+  /// Exact causal horizon of the window starting at `global_min`:
+  /// min over ranks r with pending events and outgoing cut links of
+  /// (next event time of r + rank_min_out_[r]), capped at
+  /// global_min + kMaxSyncWindow and at end_time + 1.
+  [[nodiscard]] SimTime next_horizon(SimTime global_min) const;
+  /// Per-window engine observability: trace span, profile stats and
+  /// per-rank metrics lines.
+  void record_window(SimTime global_min);
+  /// The after_drain barrier completion: counts the window, checks
+  /// termination, rebalances, opens the next window and checkpoints.
+  void complete_window() noexcept;
   void rank_process_until(RankId me, SimTime horizon);
   void drain_mailbox(RankState& rank);
   /// Moves rank `me`'s staged outbound events into the destination
@@ -495,14 +491,15 @@ class Simulation {
   // Per-rank minimum latency over cross-rank links whose *sending*
   // endpoint lives on that rank (kTimeNever when the rank has none).
   // next_time(r) + rank_min_out_[r] bounds rank r's earliest possible
-  // future influence on any other rank — the exact causal cap adaptive
-  // windows respect.
+  // future influence on any other rank (see next_horizon).
   std::vector<SimTime> rank_min_out_;
-  // True while a lax-mode parallel run is in flight: drain_mailbox
-  // applies bounded timestamp corrections to late events.  Only toggled
-  // while the engine is single-threaded.
-  bool lax_active_ = false;
   RunStats run_stats_;
+  // The open parallel window: ranks process events below horizon_ and
+  // stop once window_done_ is set.  Written only while the engine is
+  // single-threaded (see complete_window), read by the rank threads after
+  // the barrier releases them.
+  SimTime horizon_ = 0;
+  bool window_done_ = false;
   // True while the parallel worker loops run: cross-rank sends stage in
   // the sender's outbox instead of locking the destination mailbox.
   // Only toggled while the engine is single-threaded (before workers
@@ -546,8 +543,6 @@ class Simulation {
   std::atomic<bool> ckpt_writing_{false};
   std::uint64_t ckpt_taken_ = 0;
   double ckpt_write_seconds_ = 0.0;
-  // Sync windows carried over from the run this one was restored from.
-  std::uint64_t ckpt_windows_base_ = 0;
   // Self-profiler statistics for the pause/resume window (profile_engine).
   Counter* ckpt_count_stat_ = nullptr;
   Accumulator* ckpt_write_stat_ = nullptr;
@@ -584,18 +579,8 @@ class Simulation {
   Counter* rebalance_moved_stat_ = nullptr;
   Accumulator* imb_before_stat_ = nullptr;
   Accumulator* imb_after_stat_ = nullptr;
-  // engine.sync imbalance_ratio (profile_engine && R > 1, any mode).
+  // engine.sync imbalance_ratio (profile_engine && R > 1).
   Accumulator* imbalance_stat_ = nullptr;
-
-  // Lax-mode accuracy contract block (engine.lax statistics).  Created
-  // whenever a parallel lax run is configured — not gated on
-  // profile_engine, because the straggler count and max observed skew are
-  // the run's accuracy report, not a profiling detail.
-  Counter* lax_straggler_stat_ = nullptr;
-  Accumulator* lax_skew_stat_ = nullptr;
-  // Adaptive-mode window trace (profile_engine only): one sample per
-  // sync epoch, in picoseconds.
-  Accumulator* window_stat_ = nullptr;
 
   // Construction bookkeeping.
   std::string pending_name_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
 #include <utility>
 
 #include "ckpt/migrate.h"
@@ -45,12 +46,39 @@ PartitionStrategy partition_from_string(const std::string& name) {
                     "' (known: linear, roundrobin, mincut)");
 }
 
-SyncMode sync_mode_from_string(const std::string& name) {
-  if (name == "conservative") return SyncMode::kConservative;
-  if (name == "adaptive") return SyncMode::kAdaptive;
-  if (name == "lax") return SyncMode::kLax;
-  throw ConfigError("unknown sync mode '" + name +
-                    "' (known: conservative, adaptive, lax)");
+// The keys the "config" section accepts: from_json reads exactly these
+// and apply_override sets exactly these.  Error messages list them in
+// this order.
+constexpr std::string_view kConfigKeys[] = {
+    "end_time", "num_ranks", "seed", "fault_seed", "partition", "sync_mode",
+    "rebalance_mode", "rebalance_threshold", "rebalance_period",
+    "rebalance_max_moves", "watchdog_seconds", "detect_deadlock", "verbose"};
+
+/// Why a "config" key outside kConfigKeys is rejected.
+std::string config_key_error(const std::string& key) {
+  if (key == "lax_skew" || key == "sync_window_max") {
+    return "config key '" + key +
+           "' was removed with the lax and adaptive synchronization "
+           "modes; parallel runs always synchronize at the exact causal "
+           "horizon";
+  }
+  std::string known;
+  for (const std::string_view k : kConfigKeys) {
+    if (!known.empty()) known += ", ";
+    known += k;
+  }
+  return "unknown config key '" + key + "' (known: " + known + ")";
+}
+
+/// "conservative" is the only synchronization mode left; it is still
+/// accepted so existing descriptions keep working.
+void check_sync_mode(const std::string& name) {
+  if (name == "conservative") return;
+  throw ConfigError("sync_mode '" + name +
+                    "' is not supported: the lax and adaptive modes were "
+                    "removed and parallel runs always synchronize at the "
+                    "exact causal horizon (only \"conservative\" is "
+                    "accepted)");
 }
 
 bool rebalance_mode_from_string(const std::string& name) {
@@ -349,6 +377,12 @@ ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
   ConfigGraph graph;
   if (doc.has("config")) {
     const JsonValue& cfg = doc.at("config");
+    for (const auto& entry : cfg.as_object()) {
+      if (std::ranges::find(kConfigKeys, entry.first) ==
+          std::ranges::end(kConfigKeys)) {
+        throw ConfigError(config_key_error(entry.first));
+      }
+    }
     SimConfig& sc = graph.sim_config();
     if (cfg.has("end_time")) {
       sc.end_time = UnitAlgebra(cfg.at("end_time").as_string()).to_simtime();
@@ -363,15 +397,7 @@ ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
     sc.detect_deadlock = cfg.get_bool("detect_deadlock", sc.detect_deadlock);
     sc.verbose = cfg.get_bool("verbose", false);
     sc.partition = partition_from_string(cfg.get_string("partition", "linear"));
-    sc.sync_mode =
-        sync_mode_from_string(cfg.get_string("sync_mode", "conservative"));
-    if (cfg.has("lax_skew")) {
-      sc.lax_skew = UnitAlgebra(cfg.at("lax_skew").as_string()).to_simtime();
-    }
-    if (cfg.has("sync_window_max")) {
-      sc.sync_window_max =
-          UnitAlgebra(cfg.at("sync_window_max").as_string()).to_simtime();
-    }
+    check_sync_mode(cfg.get_string("sync_mode", "conservative"));
     if (cfg.has("rebalance_mode")) {
       sc.rebalance =
           rebalance_mode_from_string(cfg.at("rebalance_mode").as_string());
@@ -580,11 +606,7 @@ void ConfigGraph::apply_override(std::string_view path,
     } else if (key == "partition") {
       sim_config_.partition = partition_from_string(value);
     } else if (key == "sync_mode") {
-      sim_config_.sync_mode = sync_mode_from_string(value);
-    } else if (key == "lax_skew") {
-      sim_config_.lax_skew = UnitAlgebra(value).to_simtime();
-    } else if (key == "sync_window_max") {
-      sim_config_.sync_window_max = UnitAlgebra(value).to_simtime();
+      check_sync_mode(value);
     } else if (key == "rebalance_mode") {
       sim_config_.rebalance = rebalance_mode_from_string(value);
     } else if (key == "rebalance_threshold") {
@@ -600,11 +622,7 @@ void ConfigGraph::apply_override(std::string_view path,
     } else if (key == "verbose") {
       sim_config_.verbose = detail::parse_param<bool>(value, p);
     } else {
-      fail("unknown config key '" + key +
-           "' (known: end_time, num_ranks, seed, fault_seed, partition, "
-           "sync_mode, lax_skew, sync_window_max, rebalance_mode, "
-           "rebalance_threshold, rebalance_period, rebalance_max_moves, "
-           "watchdog_seconds, detect_deadlock, verbose)");
+      fail(config_key_error(key));
     }
     return;
   }
@@ -752,16 +770,6 @@ JsonValue ConfigGraph::to_json() const {
   }
   if (!sim_config_.detect_deadlock) cfg["detect_deadlock"] = JsonValue(false);
   cfg["partition"] = partition_name(sim_config_.partition);
-  if (sim_config_.sync_mode != SyncMode::kConservative) {
-    cfg["sync_mode"] = JsonValue(std::string(sync_mode_name(sim_config_.sync_mode)));
-  }
-  if (sim_config_.lax_skew != 0) {
-    cfg["lax_skew"] = JsonValue(std::to_string(sim_config_.lax_skew) + "ps");
-  }
-  if (sim_config_.sync_window_max != 0) {
-    cfg["sync_window_max"] =
-        JsonValue(std::to_string(sim_config_.sync_window_max) + "ps");
-  }
   if (sim_config_.rebalance) {
     cfg["rebalance_mode"] = JsonValue(std::string("on"));
     cfg["rebalance_threshold"] = JsonValue(sim_config_.rebalance_threshold);

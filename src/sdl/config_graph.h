@@ -7,10 +7,7 @@
 // JSON schema:
 // {
 //   "config": { "end_time": "1ms", "num_ranks": 2, "seed": 7,
-//               "partition": "mincut",
-//               "sync_mode": "conservative",  // conservative|adaptive|lax
-//               "lax_skew": "2us",            // required when sync_mode=lax
-//               "sync_window_max": "10us" },  // optional adaptive window cap
+//               "partition": "mincut" },
 //   "components": [
 //     { "name": "cpu0", "type": "proc.Core",
 //       "params": { "clock": "2GHz", "issue_width": "4" },
@@ -66,11 +63,12 @@
 //   }
 // }
 //
-// "config" additionally accepts "fault_seed", "watchdog_seconds", and
-// "detect_deadlock".  "sync_mode" selects the parallel synchronization
-// protocol (see DESIGN.md "Synchronization modes"): "conservative" and
-// "adaptive" reproduce golden results byte-identically; "lax" trades bounded
-// timestamp skew (<= "lax_skew") for fewer barriers.
+// "config" additionally accepts "fault_seed", "watchdog_seconds",
+// "detect_deadlock", "verbose" and the "rebalance_*" keys; any other key
+// is an error.  Parallel runs always synchronize at the exact causal
+// horizon (see DESIGN.md "Synchronization"), so "sync_mode" is accepted
+// only as "conservative", and the removed lax/adaptive keys "lax_skew" and
+// "sync_window_max" are rejected with a message naming the removal.
 #pragma once
 
 #include <optional>

@@ -19,16 +19,6 @@
 //   --override <p>=<v>   apply a ConfigGraph override (the same paths a
 //                        sweep axis uses, e.g. /vm/enable=false or
 //                        /components/l1/params/size=64KiB); repeatable
-//   --sync-mode <mode>   parallel synchronization protocol:
-//                        conservative (default, byte-identical results),
-//                        adaptive (byte-identical results, windows grow
-//                        from engine-profiling feedback), or lax (bounded
-//                        timestamp skew, fewer barriers; needs --lax-skew)
-//   --lax-skew <time>    max cross-rank skew under --sync-mode=lax,
-//                        e.g. "2us"; late events are corrected by less
-//                        than this bound
-//   --sync-window-max <time>  cap on the adaptive window (default: an
-//                        engine heuristic; must be >= the min link latency)
 //   --watchdog <secs>    abort with diagnostics after this much wall clock
 //   --checkpoint-period <t>  write a snapshot every <t> of simulated time
 //   --checkpoint-wall <secs> write a snapshot every <secs> of wall clock
@@ -102,8 +92,6 @@ void print_options(std::ostream& os, const char* argv0) {
         " [--profile-engine] [--validate]"
         " [--ranks N] [--end TIME] [--seed N] [--fault-seed N]"
         " [--override /path=value]..."
-        " [--sync-mode conservative|adaptive|lax] [--lax-skew TIME]"
-        " [--sync-window-max TIME]"
         " [--rebalance] [--rebalance-threshold X]"
         " [--rebalance-period N] [--rebalance-max-moves N]"
         " [--watchdog SECS]"
@@ -130,7 +118,8 @@ int help(const char* argv0) {
       "\nCheckpointing:\n"
       "  --checkpoint-period TIME   snapshot every TIME of simulated time\n"
       "                             (parallel runs cut at sync-window\n"
-      "                             barriers; must be >= the sync window)\n"
+      "                             barriers; must be >= the minimum\n"
+      "                             cross-rank link latency)\n"
       "  --checkpoint-wall SECS     snapshot every SECS of wall clock\n"
       "  --checkpoint-dir DIR       snapshot directory (default \"ckpt\")\n"
       "  --checkpoint-keep N        keep only the newest N snapshots "
@@ -139,26 +128,17 @@ int help(const char* argv0) {
       "                             the newest intact snapshot in a\n"
       "                             directory; a corrupt file falls back to\n"
       "                             the newest intact sibling\n"
-      "\nSynchronization modes (parallel runs; see DESIGN.md):\n"
-      "  --sync-mode conservative   barrier every min-link-latency window;\n"
-      "                             byte-identical to serial (default)\n"
-      "  --sync-mode adaptive       windows grow/shrink from barrier-wait\n"
-      "                             feedback, capped by the causal bound;\n"
-      "                             model results stay byte-identical\n"
-      "  --sync-mode lax            ranks run ahead up to --lax-skew; late\n"
-      "                             cross-rank events are corrected by less\n"
-      "                             than the bound (results differ from\n"
-      "                             conservative; deterministic per seed);\n"
-      "                             incompatible with checkpointing\n"
-      "  --lax-skew TIME            required with --sync-mode=lax\n"
-      "  --sync-window-max TIME     optional cap on the adaptive window\n"
+      "\nParallel runs (--ranks N > 1; see DESIGN.md):\n"
+      "  Ranks synchronize at the exact causal horizon: a window ends\n"
+      "  where the earliest cross-rank event of the next window could\n"
+      "  land (a rank's next event time plus its minimum outgoing\n"
+      "  cross-rank link latency), at most 10us past the earliest\n"
+      "  pending event.  Results are byte-identical to the serial run.\n"
       "\nOnline repartitioning (parallel runs; see DESIGN.md):\n"
       "  --rebalance                migrate components between ranks at\n"
       "                             sync barriers when the per-epoch event\n"
       "                             imbalance exceeds the threshold; model\n"
-      "                             results stay byte-identical in\n"
-      "                             conservative/adaptive modes (lax\n"
-      "                             rebalances more aggressively)\n"
+      "                             results stay byte-identical\n"
       "  --rebalance-threshold X    max/mean event-rate ratio that\n"
       "                             triggers a pass (default 1.5)\n"
       "  --rebalance-period N       check every N sync windows "
@@ -275,9 +255,6 @@ int main(int argc, char** argv) {
   std::optional<std::string> end_time;
   std::optional<std::uint64_t> seed;
   std::optional<std::uint64_t> fault_seed;
-  std::optional<std::string> sync_mode;
-  std::optional<std::string> lax_skew;
-  std::optional<std::string> sync_window_max;
   bool rebalance = false;
   std::optional<std::string> rebalance_threshold;
   std::optional<std::string> rebalance_period;
@@ -377,18 +354,13 @@ int main(int argc, char** argv) {
           return usage(argv[0]);
         }
         overrides.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
-      } else if (arg == "--sync-mode") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        sync_mode = v;
-      } else if (arg == "--lax-skew") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        lax_skew = v;
-      } else if (arg == "--sync-window-max") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        sync_window_max = v;
+      } else if (arg == "--sync-mode" || arg == "--lax-skew" ||
+                 arg == "--sync-window-max") {
+        std::cerr << arg
+                  << " was removed with the lax and adaptive "
+                     "synchronization modes; parallel runs always "
+                     "synchronize at the exact causal horizon\n";
+        return kExitConfig;
       } else if (arg == "--rebalance") {
         rebalance = true;
       } else if (arg == "--rebalance-threshold") {
@@ -607,14 +579,9 @@ int main(int argc, char** argv) {
   if (fault_seed) sc.fault_seed = *fault_seed;
   try {
     // Generic overrides first, then the structured flags, so an explicit
-    // --sync-mode wins over an --override of the same path.
+    // --rebalance wins over an --override of the same path.
     for (const auto& [path, value] : overrides) {
       graph.apply_override(path, value);
-    }
-    if (sync_mode) graph.apply_override("/config/sync_mode", *sync_mode);
-    if (lax_skew) graph.apply_override("/config/lax_skew", *lax_skew);
-    if (sync_window_max) {
-      graph.apply_override("/config/sync_window_max", *sync_window_max);
     }
     if (rebalance) graph.apply_override("/config/rebalance_mode", "on");
     if (rebalance_threshold) {
@@ -694,12 +661,6 @@ int main(int argc, char** argv) {
               << stats.wall_seconds << " s wall ("
               << static_cast<std::uint64_t>(stats.events_per_second())
               << " events/s)\n";
-    if (stats.sync_mode == sst::SyncMode::kLax) {
-      std::cerr << "lax: " << stats.lax_stragglers
-                << " straggler events corrected, max observed skew "
-                << stats.lax_max_skew << " ps (budget "
-                << sim->config().lax_skew << " ps)\n";
-    }
     if (!sc.trace_path.empty()) {
       std::cerr << "trace written to " << sc.trace_path << "\n";
     }

@@ -1,7 +1,6 @@
 // Online rebalancer: controller properties (no-op below threshold,
 // bounded, improving, deterministic) and the engine-level determinism
-// contract — migrations are model-invisible in conservative/adaptive
-// modes at any rank count.
+// contract — migrations are model-invisible at any rank count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +9,7 @@
 
 #include "ckpt/migrate.h"
 #include "core/sst.h"
-#include "core/sync_policy.h"
+#include "core/rebalance.h"
 #include "net/hotspot.h"
 #include "net/net_lib.h"
 
@@ -141,17 +140,13 @@ struct HotspotResult {
 };
 
 HotspotResult run_hotspot(unsigned ranks, bool rebalance,
-                          SyncMode mode = SyncMode::kConservative,
-                          SimTime lax_skew = 0,
                           SimTime end = 60 * kMicrosecond,
                           bool install_migrator = true) {
   net::register_library();  // HotspotToken migration serialization
   SimConfig cfg{.num_ranks = ranks,
                 .end_time = end,
                 .seed = 13,
-                .partition = PartitionStrategy::kMinCut,
-                .sync_mode = mode,
-                .lax_skew = lax_skew};
+                .partition = PartitionStrategy::kMinCut};
   cfg.rebalance = rebalance;
   Simulation sim(cfg);
   constexpr unsigned kX = 8, kY = 8;
@@ -223,29 +218,10 @@ TEST(Rebalance, DeterministicRunToRun) {
   const HotspotResult a = run_hotspot(4, true);
   const HotspotResult b = run_hotspot(4, true);
   EXPECT_EQ(a.received, b.received);
-  // Conservative epochs are deterministic, so the migration schedule
-  // itself reproduces exactly.
+  // Window boundaries are a pure function of event times, so the
+  // migration schedule itself reproduces exactly.
   EXPECT_EQ(a.stats.rebalances, b.stats.rebalances);
   EXPECT_EQ(a.stats.components_migrated, b.stats.components_migrated);
-}
-
-TEST(Rebalance, AdaptiveStaysModelInvisible) {
-  const HotspotResult serial = run_hotspot(1, false);
-  // Adaptive epoch boundaries depend on wall-clock feedback, so the
-  // migration *schedule* may vary — model results must not.
-  const HotspotResult rebal = run_hotspot(4, true, SyncMode::kAdaptive);
-  EXPECT_EQ(serial.received, rebal.received);
-  EXPECT_EQ(serial.forwarded, rebal.forwarded);
-  EXPECT_EQ(serial.stats.events_processed, rebal.stats.events_processed);
-}
-
-TEST(Rebalance, LaxRunsToCompletion) {
-  // Lax trades strict reproducibility for throughput; with rebalancing
-  // it must still terminate cleanly and keep every component's counters
-  // plausible (tokens are conserved, so events keep flowing).
-  const HotspotResult lax =
-      run_hotspot(4, true, SyncMode::kLax, 4 * kMicrosecond);
-  EXPECT_GT(lax.stats.events_processed, 1000u);
 }
 
 TEST(Rebalance, StaticRunHasNoMigrations) {
@@ -258,8 +234,7 @@ TEST(Rebalance, MissingMigratorRejected) {
   // rebalance=true on a parallel run without ckpt::install_migrator must
   // fail fast with a pointer at the fix, not silently skip migrations.
   try {
-    run_hotspot(2, true, SyncMode::kConservative, 0, kMicrosecond,
-                /*install_migrator=*/false);
+    run_hotspot(2, true, kMicrosecond, /*install_migrator=*/false);
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("install_migrator"),

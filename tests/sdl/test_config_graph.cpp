@@ -225,5 +225,60 @@ TEST(ConfigGraph, ApplyOverrideErrorsNameTheAlternatives) {
                ConfigError);
 }
 
+/// The ConfigError message `fn` throws ("" if it does not throw).
+template <typename Fn>
+std::string config_error(Fn&& fn) {
+  try {
+    fn();
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ConfigGraph, UnknownConfigKeyRejectedWithKnownKeys) {
+  // A typo in the config section used to be ignored silently.
+  const std::string parsed = config_error([] {
+    (void)ConfigGraph::from_json_text(
+        R"({"config": {"end_tme": "1ns", "seed": 3}})");
+  });
+  ConfigGraph g = small_system();
+  const std::string overridden =
+      config_error([&] { g.apply_override("/config/end_tme", "1ns"); });
+  const auto known = [](const std::string& msg) {
+    const std::size_t at = msg.find("(known: ");
+    return at == std::string::npos ? std::string() : msg.substr(at);
+  };
+  EXPECT_NE(parsed.find("'end_tme'"), std::string::npos) << parsed;
+  EXPECT_NE(known(parsed).find("end_time"), std::string::npos) << parsed;
+  // Both entry points list the same keys.
+  EXPECT_EQ(known(parsed), known(overridden)) << overridden;
+}
+
+TEST(ConfigGraph, RemovedSyncInputsNameTheRemoval) {
+  for (const char* doc :
+       {R"({"config": {"lax_skew": "2us"}})",
+        R"({"config": {"sync_window_max": "10us"}})",
+        R"({"config": {"sync_mode": "lax"}})",
+        R"({"config": {"sync_mode": "adaptive"}})"}) {
+    const std::string msg =
+        config_error([doc] { (void)ConfigGraph::from_json_text(doc); });
+    EXPECT_NE(msg.find("removed"), std::string::npos) << doc << ": " << msg;
+  }
+  ConfigGraph g = small_system();
+  for (const char* key : {"/config/lax_skew", "/config/sync_window_max"}) {
+    const std::string msg =
+        config_error([&] { g.apply_override(key, "1us"); });
+    EXPECT_NE(msg.find("removed"), std::string::npos) << key << ": " << msg;
+  }
+  EXPECT_NE(config_error([&] { g.apply_override("/config/sync_mode", "lax"); })
+                .find("removed"),
+            std::string::npos);
+  // The one remaining mode is still accepted, so older descriptions run.
+  EXPECT_NO_THROW((void)ConfigGraph::from_json_text(
+      R"({"config": {"sync_mode": "conservative"}})"));
+  EXPECT_NO_THROW(g.apply_override("/config/sync_mode", "conservative"));
+}
+
 }  // namespace
 }  // namespace sst::sdl

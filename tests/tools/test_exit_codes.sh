@@ -36,24 +36,51 @@ expect 2 "bad time value"  "$SSTSIM" "$MODELS/pingpong.json" --end "1 parsec"
 expect 3 "watchdog abort"  "$SSTSIM" "$MODELS/hog.json" --watchdog 0.3
 expect 4 "deadlock"        "$SSTSIM" "$MODELS/deadlock.json"
 
-# Synchronization-mode additions: every misuse is a usage/config error
-# (2); a correctly configured lax run is a clean 0.
-expect 2 "bad sync mode"   "$SSTSIM" "$MODELS/pingpong.json" --ranks 2 \
-                           --sync-mode bogus
-expect 2 "lax no skew"     "$SSTSIM" "$MODELS/pingpong.json" --ranks 2 \
-                           --sync-mode lax
-expect 2 "skew no lax"     "$SSTSIM" "$MODELS/pingpong.json" --ranks 2 \
-                           --lax-skew 1us
-expect 2 "lax + ckpt"      "$SSTSIM" "$MODELS/pingpong.json" --ranks 2 \
-                           --sync-mode lax --lax-skew 1us \
-                           --checkpoint-period 10us \
-                           --checkpoint-dir "$WORK/laxcp"
-expect 2 "bad skew value"  "$SSTSIM" "$MODELS/pingpong.json" --ranks 2 \
-                           --sync-mode lax --lax-skew "1 parsec"
-expect 0 "lax clean run"   "$SSTSIM" "$MODELS/pingpong.json" --ranks 2 \
-                           --sync-mode lax --lax-skew 1us
-expect 0 "adaptive run"    "$SSTSIM" "$MODELS/pingpong.json" --ranks 2 \
+# Removed synchronization inputs: the lax/adaptive flags and SDL keys
+# are usage/config errors (2) whose message names the removal; a
+# mistyped config key is an error too, and "sync_mode": "conservative"
+# (still written by older descriptions) is a clean 0.
+# removed <label>: the last expect's stderr names the removal.
+removed() {
+  if ! grep -q 'removed' "$WORK/err"; then
+    echo "exit_codes: $1: message does not name the removal:" >&2
+    sed 's/^/  | /' "$WORK/err" >&2
+    fail=1
+  fi
+}
+# with_config <name> <json members>: pingpong.json with a config section
+# of seed 2 plus the given members.
+with_config() {
+  sed "s/\"config\": {\"seed\": 2}/\"config\": {\"seed\": 2, $2}/" \
+      "$MODELS/pingpong.json" > "$WORK/$1.json"
+}
+expect 2 "--sync-mode"     "$SSTSIM" "$MODELS/pingpong.json" --ranks 2 \
                            --sync-mode adaptive
+removed "--sync-mode"
+expect 2 "--lax-skew"      "$SSTSIM" "$MODELS/pingpong.json" --ranks 2 \
+                           --lax-skew 1us
+removed "--lax-skew"
+expect 2 "--sync-window-max" "$SSTSIM" "$MODELS/pingpong.json" --ranks 2 \
+                           --sync-window-max 10us
+removed "--sync-window-max"
+with_config typo '"end_tme": "1ns"'
+expect 2 "mistyped config key" "$SSTSIM" "$WORK/typo.json"
+if ! grep -q "unknown config key 'end_tme' (known: end_time," "$WORK/err"; then
+  echo "exit_codes: mistyped config key: known keys not listed" >&2
+  fail=1
+fi
+with_config lax_skew '"lax_skew": "2us"'
+expect 2 "sdl lax_skew"    "$SSTSIM" "$WORK/lax_skew.json" --ranks 2
+removed "sdl lax_skew"
+with_config window_max '"sync_window_max": "10us"'
+expect 2 "sdl sync_window_max" "$SSTSIM" "$WORK/window_max.json" --ranks 2
+removed "sdl sync_window_max"
+with_config lax_mode '"sync_mode": "lax"'
+expect 2 "sdl sync_mode lax" "$SSTSIM" "$WORK/lax_mode.json" --ranks 2
+removed "sdl sync_mode lax"
+with_config conservative '"sync_mode": "conservative"'
+expect 0 "sdl sync_mode conservative" "$SSTSIM" "$WORK/conservative.json" \
+                           --ranks 2
 
 # Checkpoint/restart additions: bad cadence values are usage errors (2),
 # an unusable restart source is the dedicated restart failure (5).

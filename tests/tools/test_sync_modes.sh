@@ -1,17 +1,8 @@
 #!/bin/sh
-# Synchronization-mode acceptance harness (see DESIGN.md "Synchronization
-# modes").  The same SDL models run at 1, 2, and 4 ranks under all three
-# modes:
-#
-#   * conservative and adaptive stats dumps must be byte-identical to the
-#     pinned serial golden digest — the determinism contract;
-#   * lax runs must finish cleanly, report an engine.lax stats block, and
-#     keep every timestamp correction inside the configured budget.  On
-#     the phase-structured halo model the final time must also land
-#     within that budget of the conservative run; the request-response
-#     memory model is exercised for the per-correction bound only, since
-#     corrections feed back into request pacing and compound end to end —
-#     exactly why lax is opt-in (DESIGN.md, determinism contract table).
+# Synchronization acceptance harness (see DESIGN.md "Synchronization").
+# Parallel runs synchronize at the exact causal horizon, so the same SDL
+# models must produce stats dumps byte-identical to the pinned serial
+# golden digest at 1, 2 and 4 ranks — the determinism contract.
 #
 #   test_sync_modes.sh <sstsim> <source_dir>
 set -u
@@ -21,8 +12,6 @@ SRC="${2:?missing source dir}"
 
 SYSTEMS="$SRC/examples/systems"
 DIGESTS="$SRC/tests/golden/digests.sha256"
-SKEW="2us"
-SKEW_PS=2000000
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -35,9 +24,6 @@ golden_digest() {
   awk -v name="$1" '$2 == name { print $1 }' "$DIGESTS"
 }
 
-# Conservative and adaptive must reproduce the pinned serial digest at
-# every rank count: same model, same bytes, regardless of how the ranks
-# synchronized.
 for model in node_ddr3 halo16; do
   case "$model" in
     node_ddr3) sdl="$SYSTEMS/node_ddr3.json"; gold="node_ddr3.r1.csv" ;;
@@ -48,81 +34,24 @@ for model in node_ddr3 halo16; do
     echo "sync_modes: no golden digest named $gold in $DIGESTS" >&2
     exit 1
   fi
-  for mode in conservative adaptive; do
-    for ranks in 1 2 4; do
-      out="$WORK/$model.$mode.r$ranks.csv"
-      if ! "$SSTSIM" "$sdl" --ranks "$ranks" --sync-mode "$mode" \
-          --stats "$out" > /dev/null 2> "$WORK/err"; then
-        echo "sync_modes: $model $mode r$ranks run failed:" >&2
-        sed 's/^/  | /' "$WORK/err" >&2
-        fail=1
-        continue
-      fi
-      got="$(hash_of "$out")"
-      if [ "$got" != "$want" ]; then
-        echo "sync_modes: $model $mode r$ranks stats drifted from the" >&2
-        echo "sync_modes: golden serial digest ($gold)" >&2
-        fail=1
-      fi
-    done
-  done
-done
-
-# done: t=<T> ps ... — the deterministic final time from the run report.
-final_time() {
-  sed -n 's/^done: t=\([0-9]*\) ps.*/\1/p' "$1"
-}
-
-# Lax: clean exit, a lax report + engine.lax stats block, skew inside the
-# budget, and a final time within the budget of the conservative run.
-for model in node_ddr3 halo16; do
-  case "$model" in
-    node_ddr3) sdl="$SYSTEMS/node_ddr3.json" ;;
-    halo16)    sdl="$SYSTEMS/halo16_torus.json" ;;
-  esac
-  "$SSTSIM" "$sdl" --ranks 4 --stats "$WORK/$model.cons.csv" \
-      > /dev/null 2> "$WORK/$model.cons.err" || { fail=1; continue; }
-  cons_t="$(final_time "$WORK/$model.cons.err")"
-  for ranks in 2 4; do
-    out="$WORK/$model.lax.r$ranks.csv"
-    err="$WORK/$model.lax.r$ranks.err"
-    if ! "$SSTSIM" "$sdl" --ranks "$ranks" --sync-mode lax \
-        --lax-skew "$SKEW" --stats "$out" > /dev/null 2> "$err"; then
-      echo "sync_modes: $model lax r$ranks run failed:" >&2
-      sed 's/^/  | /' "$err" >&2
+  for ranks in 1 2 4; do
+    out="$WORK/$model.r$ranks.csv"
+    if ! "$SSTSIM" "$sdl" --ranks "$ranks" --stats "$out" \
+        > /dev/null 2> "$WORK/err"; then
+      echo "sync_modes: $model r$ranks run failed:" >&2
+      sed 's/^/  | /' "$WORK/err" >&2
       fail=1
       continue
     fi
-    if ! grep -q '^lax: ' "$err"; then
-      echo "sync_modes: $model lax r$ranks: missing lax report line" >&2
+    got="$(hash_of "$out")"
+    if [ "$got" != "$want" ]; then
+      echo "sync_modes: $model r$ranks stats drifted from the" >&2
+      echo "sync_modes: golden serial digest ($gold)" >&2
       fail=1
-    fi
-    if ! grep -q '^engine\.lax,' "$out"; then
-      echo "sync_modes: $model lax r$ranks: stats dump has no engine.lax" >&2
-      fail=1
-    fi
-    max_skew="$(sed -n 's/^lax: .*max observed skew \([0-9]*\) ps.*/\1/p' \
-        "$err")"
-    if [ -z "$max_skew" ] || [ "$max_skew" -ge "$SKEW_PS" ]; then
-      echo "sync_modes: $model lax r$ranks: observed skew '$max_skew'" >&2
-      echo "sync_modes: outside the $SKEW_PS ps budget" >&2
-      fail=1
-    fi
-    if [ "$model" = halo16 ]; then
-      lax_t="$(final_time "$err")"
-      if [ -z "$cons_t" ] || [ -z "$lax_t" ]; then
-        echo "sync_modes: $model lax r$ranks: missing final-time report" >&2
-        fail=1
-      elif ! awk -v a="$cons_t" -v b="$lax_t" -v s="$SKEW_PS" \
-          'BEGIN { d = a - b; if (d < 0) d = -d; exit !(d <= s) }'; then
-        echo "sync_modes: $model lax r$ranks: final time $lax_t ps is" >&2
-        echo "sync_modes: more than $SKEW_PS ps from conservative $cons_t" >&2
-        fail=1
-      fi
     fi
   done
 done
 
 if [ "$fail" -ne 0 ]; then exit 1; fi
-echo "sync_modes: conservative+adaptive byte-identical to goldens at" \
-     "1/2/4 ranks; lax skew and drift inside the $SKEW budget"
+echo "sync_modes: exact-horizon runs byte-identical to goldens at" \
+     "1/2/4 ranks"

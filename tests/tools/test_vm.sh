@@ -1,8 +1,7 @@
 #!/bin/sh
 # Virtual-memory subsystem contract, end to end through the real CLIs:
 #
-#   1. node_vm.json stats are byte-identical at 1/2/4/8 ranks under
-#      conservative sync and at 4 ranks under adaptive sync — walks,
+#   1. node_vm.json stats are byte-identical at 1/2/4/8 ranks — walks,
 #      PTE reads and shootdowns riding the same barriers as demand
 #      traffic.
 #   2. `--override /vm/enable=false` (the bench's vm_off arm) degrades
@@ -57,15 +56,12 @@ stat_of() {  # stat_of <csv> <component> <statistic>  -> count value
       '$1 == c && $2 == s && $3 == "count" {print $4}' "$1"
 }
 
-# --- 1: rank-count and sync-mode invariance ---------------------------
+# --- 1: rank-count invariance -----------------------------------------
 run r1 "$SSTSIM" "$MODEL" --ranks 1 --stats "$WORK/r1.csv"
 for r in 2 4 8; do
   run "r$r" "$SSTSIM" "$MODEL" --ranks "$r" --stats "$WORK/r$r.csv"
   check "stats identical at $r ranks" cmp -s "$WORK/r1.csv" "$WORK/r$r.csv"
 done
-run adaptive "$SSTSIM" "$MODEL" --ranks 4 --sync-mode adaptive \
-    --stats "$WORK/ad.csv"
-check "adaptive sync stats identical" cmp -s "$WORK/r1.csv" "$WORK/ad.csv"
 check "the run actually walked page tables" \
     test "$(stat_of "$WORK/r1.csv" ptw walks)" -gt 0
 check "the run actually promoted huge pages" \
