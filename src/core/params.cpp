@@ -77,6 +77,31 @@ std::vector<std::string> Params::keys() const {
   return out;
 }
 
+std::uint64_t parse_count(std::string_view what, const std::string& text,
+                          std::uint64_t lo, std::uint64_t hi) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
+    throw ConfigError(std::string(what) + " must be a whole number in [" +
+                      std::to_string(lo) + ", " + std::to_string(hi) +
+                      "], got '" + text + "'");
+  }
+  return v;
+}
+
+double parse_seconds(std::string_view what, const std::string& text) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+      *end != '\0' || !std::isfinite(v) || v < 0) {
+    throw ConfigError(std::string(what) +
+                      " must be a finite number of seconds >= 0, got '" +
+                      text + "'");
+  }
+  return v;
+}
+
 namespace detail {
 
 namespace {

@@ -87,6 +87,17 @@ class Params {
   mutable std::set<std::string, std::less<>> used_;
 };
 
+/// Strict parse of a count that sizes something (a CLI flag, a sweep or
+/// daemon run policy): all of `text` must be a whole number in [lo, hi].
+/// Throws ConfigError naming `what`.
+[[nodiscard]] std::uint64_t parse_count(std::string_view what,
+                                        const std::string& text,
+                                        std::uint64_t lo, std::uint64_t hi);
+/// Strict parse of a wall-clock budget: all of `text` must be a finite
+/// number of seconds >= 0.  Throws ConfigError naming `what`.
+[[nodiscard]] double parse_seconds(std::string_view what,
+                                   const std::string& text);
+
 namespace detail {
 // Parses `text` as a T; `key` only feeds error messages.
 template <typename T>

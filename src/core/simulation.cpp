@@ -639,6 +639,13 @@ void Simulation::drain_mailbox(RankState& rank) {
 // Run loops
 // ---------------------------------------------------------------------
 
+void print_done_line(std::ostream& os, const RunStats& stats) {
+  os << "done: t=" << stats.final_time << " ps, " << stats.events_processed
+     << " events, " << stats.wall_seconds << " s wall ("
+     << static_cast<std::uint64_t>(stats.events_per_second())
+     << " events/s)\n";
+}
+
 RunStats Simulation::run() {
   if (state_ == State::kBuilding) initialize();
   if (state_ == State::kDone) {

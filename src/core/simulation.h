@@ -167,6 +167,11 @@ struct RunStats {
   }
 };
 
+/// Prints the run's one-line summary, "done: t=<ps> ps, <N> events, <s> s
+/// wall (<r> events/s)": sstsim ends every run with it, and sweep workers
+/// write it to each point's run.log.
+void print_done_line(std::ostream& os, const RunStats& stats);
+
 class Simulation {
  public:
   explicit Simulation(SimConfig config = {});

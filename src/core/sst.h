@@ -27,12 +27,10 @@
 #include "core/clock.h"
 #include "core/component.h"
 #include "core/event.h"
-#include "core/event_pool.h"
 #include "core/link.h"
 #include "core/params.h"
 #include "core/rng.h"
 #include "core/simulation.h"
-#include "core/stat_sampler.h"
 #include "core/statistics.h"
 #include "core/time_vortex.h"
 #include "core/types.h"

@@ -72,11 +72,6 @@ sdl::JsonValue DaemonClient::status() {
   return next_reply();
 }
 
-sdl::JsonValue DaemonClient::result(const std::string& id) {
-  send("{\"op\":\"result\",\"id\":\"" + id + "\"}");
-  return next_reply();
-}
-
 sdl::JsonValue DaemonClient::drain() {
   send("{\"op\":\"drain\"}");
   return next_reply();

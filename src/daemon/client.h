@@ -32,12 +32,7 @@ class DaemonClient {
 
   /// Convenience round trips.
   sdl::JsonValue status();
-  sdl::JsonValue result(const std::string& id);
   sdl::JsonValue drain();
-
-  [[nodiscard]] const std::string& socket_path() const {
-    return socket_path_;
-  }
 
  private:
   std::string socket_path_;

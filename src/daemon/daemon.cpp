@@ -25,21 +25,10 @@ namespace sst::daemon {
 
 namespace {
 
-// Hard-deadline policy shared with the DSE orchestrator: the watchdog
-// inside the worker gets `timeout`; the daemon SIGKILLs a worker that
-// still has not answered by 1.5x + 2s (a wedged process the watchdog
-// cannot reach).
-double hard_deadline_seconds(double timeout) { return timeout * 1.5 + 2.0; }
-
-SteadyTime after_seconds(SteadyTime now, double seconds) {
-  return now + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(seconds));
-}
-
 int g_signal_fd = -1;
 
-void on_signal(int sig) {
-  const char b = sig == SIGCHLD ? 'C' : 'T';
+void on_signal(int /*sig*/) {
+  const char b = 'T';  // SIGTERM or SIGINT: drain
   if (g_signal_fd >= 0) {
     [[maybe_unused]] const ::ssize_t n = ::write(g_signal_fd, &b, 1);
   }
@@ -55,8 +44,6 @@ DaemonOptions normalize(DaemonOptions o) {
   std::error_code ec;
   const fs::path abs = fs::absolute(o.state_dir, ec);
   if (!ec) o.state_dir = abs.string();
-  if (o.workers == 0) o.workers = 1;
-  if (o.queue_capacity == 0) o.queue_capacity = 1;
   return o;
 }
 
@@ -65,9 +52,10 @@ DaemonOptions normalize(DaemonOptions o) {
 Daemon::Daemon(DaemonOptions options)
     : options_(normalize(std::move(options))),
       cache_(options_.cache_capacity),
-      queue_(options_.queue_capacity),
       ledger_(options_.state_dir + "/requests.jsonl"),
-      pool_(options_.workers, [this] { close_fds_in_child(); }) {}
+      executor_(options_.workers, options_.queue_capacity,
+                [this] { close_fds_in_child(); }, "sstsimd",
+                options_.verbose) {}
 
 Daemon::~Daemon() {
   for (const auto& [fd, client] : clients_) {
@@ -147,7 +135,7 @@ void Daemon::recover_pending() {
       q.req = std::move(msg.run);
       q.content_hash = hash;
       q.attempts = rec.attempts;
-      queue_.defer(std::move(q));
+      executor_.enqueue(std::move(q));
       ++recovered_;
     } catch (const std::exception& e) {
       RequestRecord failed = rec;
@@ -188,10 +176,9 @@ int Daemon::run() {
   g_signal_fd = signal_write_fd_;
   ::signal(SIGTERM, on_signal);
   ::signal(SIGINT, on_signal);
-  ::signal(SIGCHLD, on_signal);
   ::signal(SIGPIPE, SIG_IGN);
 
-  pool_.start();
+  executor_.start();
   recover_pending();
   write_metrics();
   std::cerr << "[sstsimd] serving on " << options_.socket_path << " ("
@@ -201,15 +188,13 @@ int Daemon::run() {
 
   std::vector<pollfd> fds;
   struct Tag {
-    char kind;       // 's'ignal, 'l'istener, 'c'lient, 'w'orker
-    int ref;         // client fd or worker slot
-    pid_t owner;     // worker pid at poll-build time ('w' only)
+    char kind;  // 's'ignal, 'l'istener, 'c'lient
+    int ref;    // client fd
   };
   std::vector<Tag> tags;
   for (;;) {
     const SteadyTime now = std::chrono::steady_clock::now();
-    dispatch_ready(now);
-    enforce_deadlines(now);
+    executor_.step(now);
 
     // Group commit: every record staged during the previous pass is
     // made durable in one fsync, and only then do the replies that
@@ -225,50 +210,23 @@ int Daemon::run() {
       for (const int fd : with_output) flush_client(fd);  // may drop fd
     }
 
-    if (draining_ && queue_.empty() && pool_.busy_count() == 0) break;
+    if (draining_ && executor_.idle()) break;
 
     fds.clear();
     tags.clear();
     fds.push_back({signal_read_fd_, POLLIN, 0});
-    tags.push_back({'s', 0, 0});
+    tags.push_back({'s', 0});
     fds.push_back({listen_fd_, POLLIN, 0});
-    tags.push_back({'l', 0, 0});
+    tags.push_back({'l', 0});
     for (const auto& [fd, client] : clients_) {
       short events = POLLIN;
       if (!client.out.empty()) events |= POLLOUT;
       fds.push_back({fd, events, 0});
-      tags.push_back({'c', fd, 0});
+      tags.push_back({'c', fd});
     }
-    for (int slot = 0; slot < static_cast<int>(pool_.count()); ++slot) {
-      if (pool_.alive(slot) && pool_.busy(slot)) {
-        // The pid pins the event to THIS incarnation of the slot: a
-        // worker reaped and respawned mid-pass can recycle the same fd
-        // number, and a stale POLLIN serviced against the fresh idle
-        // worker would block the whole daemon on its silent socket.
-        fds.push_back({pool_.fd(slot), POLLIN, 0});
-        tags.push_back({'w', slot, pool_.pid(slot)});
-      }
-    }
+    executor_.poll_fds(fds);  // worker sockets follow the tagged entries
 
-    // Wake for the nearest hard deadline, and for the nearest backoff
-    // gate when a worker is free to take the retry.
-    int timeout_ms = -1;
-    auto consider = [&](SteadyTime when) {
-      if (when == SteadyTime::max()) return;
-      const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          when - now)
-                          .count();
-      const int clamped = ms < 0 ? 0 : (ms > 60000 ? 60000 : static_cast<int>(ms));
-      if (timeout_ms < 0 || clamped < timeout_ms) timeout_ms = clamped;
-    };
-    for (int slot = 0; slot < static_cast<int>(pool_.count()); ++slot) {
-      if (pool_.alive(slot) && pool_.busy(slot)) consider(pool_.deadline(slot));
-    }
-    if (pool_.idle_slot() >= 0) {
-      if (const auto at = queue_.next_ready_at()) consider(*at);
-    }
-
-    const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
+    const int rc = ::poll(fds.data(), fds.size(), executor_.poll_timeout_ms(now));
     if (rc < 0) {
       if (errno == EINTR) continue;
       throw DaemonError(std::string("poll failed: ") + std::strerror(errno));
@@ -277,15 +235,12 @@ int Daemon::run() {
     // may drop a client, and a freshly accepted connection could recycle
     // the dropped fd number while stale revents for it are still queued.
     bool want_accept = false;
-    for (std::size_t i = 0; i < fds.size(); ++i) {
+    for (std::size_t i = 0; i < tags.size(); ++i) {
       if (fds[i].revents == 0) continue;
-      const auto [kind, ref, owner_pid] = tags[i];
+      const auto [kind, ref] = tags[i];
       if (kind == 's') {
-        char buf[64];
-        ::ssize_t n;
-        while ((n = ::read(signal_read_fd_, buf, sizeof buf)) > 0) {
-          for (::ssize_t j = 0; j < n; ++j) handle_signal_byte(buf[j]);
-        }
+        char buf[64];  // every byte is a SIGTERM/SIGINT
+        while (::read(signal_read_fd_, buf, sizeof buf) > 0) begin_drain();
       } else if (kind == 'l') {
         want_accept = true;
       } else if (kind == 'c') {
@@ -305,17 +260,15 @@ int Daemon::run() {
             (fds[i].revents & (POLLIN | POLLHUP)) != 0) {
           if (!service_client(ref)) drop_client(ref);
         }
-      } else if (kind == 'w') {
-        if (pool_.alive(ref) && pool_.pid(ref) == owner_pid &&
-            pool_.fd(ref) == fds[i].fd) {
-          service_worker(ref);
-        }
       }
+    }
+    for (const RequestRecord& rec : executor_.service(fds)) {
+      finish_request(rec);
     }
     if (want_accept) accept_clients();
   }
 
-  pool_.shutdown();
+  executor_.shutdown();
   ::close(listen_fd_);
   listen_fd_ = -1;
   ::unlink(options_.socket_path.c_str());
@@ -323,21 +276,18 @@ int Daemon::run() {
   std::cerr << "[sstsimd] drained: " << completed_ok_ << " ok, "
             << completed_failed_ << " failed, " << completed_timeout_
             << " timeout, " << completed_error_ << " error ("
-            << retries_ << " retries, " << pool_.restarts()
+            << executor_.retries() << " retries, " << executor_.restarts()
             << " worker restarts)\n";
   return 0;
 }
 
-void Daemon::handle_signal_byte(char b) {
-  if (b == 'C') {
-    for (const auto& ex : pool_.reap_and_respawn()) handle_worker_exit(ex);
-  } else if (!draining_) {
-    draining_ = true;
-    std::cerr << "[sstsimd] drain requested: finishing " << queue_.size()
-              << " queued + " << inflight_.size()
-              << " in-flight request(s), refusing new work\n";
-    write_metrics();
-  }
+void Daemon::begin_drain() {
+  if (draining_) return;
+  draining_ = true;
+  std::cerr << "[sstsimd] drain requested: finishing " << executor_.queued()
+            << " queued + " << executor_.busy()
+            << " in-flight request(s), refusing new work\n";
+  write_metrics();
 }
 
 void Daemon::accept_clients() {
@@ -400,7 +350,7 @@ void Daemon::handle_line(int fd, const std::string& line) {
       break;
     }
     case ClientMessage::Op::kDrain:
-      if (!draining_) handle_signal_byte('T');
+      begin_drain();
       send_line(fd, status_line());
       break;
   }
@@ -450,7 +400,7 @@ void Daemon::handle_run(int fd, RunRequest req) {
     send_line(fd, done_line(rec));
     return;
   }
-  if (queue_.size() >= queue_.capacity()) {
+  if (executor_.full()) {
     ++rejected_overloaded_;
     send_line(fd, "{\"type\":\"rejected\",\"id\":\"" +
                       obs::json_escape(req.id) +
@@ -500,94 +450,11 @@ void Daemon::handle_run(int fd, RunRequest req) {
   QueuedRequest q;
   q.req = std::move(req);
   q.content_hash = hash;
-  queue_.defer(std::move(q));  // capacity was checked above
+  executor_.enqueue(std::move(q));  // capacity was checked above
   write_metrics();
 }
 
-void Daemon::service_worker(int slot) {
-  char buf[65536];
-  const ::ssize_t n = ::read(pool_.fd(slot), buf, sizeof buf);
-  if (n <= 0) return;  // death is handled by SIGCHLD -> reap
-  LineBuffer& in = pool_.line_buffer(slot);
-  in.feed(buf, static_cast<std::size_t>(n));
-  std::string line;
-  while (in.next(line)) {
-    if (line.empty()) continue;
-    try {
-      handle_worker_reply(slot, parse_worker_reply(line));
-    } catch (const DaemonError& e) {
-      std::cerr << "[sstsimd] dropping garbled worker reply: " << e.what()
-                << "\n";
-    }
-  }
-}
-
-void Daemon::handle_worker_reply(int slot, const WorkerReply& reply) {
-  pool_.mark_idle(slot);
-  auto it = inflight_.find(reply.id);
-  if (it == inflight_.end()) return;  // already finalized via death path
-  QueuedRequest q = std::move(it->second);
-  inflight_.erase(it);
-  if (reply.status == "timeout" &&
-      maybe_retry(q, "watchdog abort: " + reply.error)) {
-    return;
-  }
-  RequestRecord rec;
-  rec.id = q.req.id;
-  rec.status = reply.status;
-  rec.exit_code = reply.exit_code;
-  rec.attempts = q.attempts;
-  rec.out_dir = q.req.out_dir;
-  rec.content_hash = q.content_hash;
-  rec.error = reply.error;
-  finish_request(q, std::move(rec));
-}
-
-void Daemon::handle_worker_exit(const WorkerExit& ex) {
-  if (ex.was_busy && options_.verbose) {
-    std::cerr << "[sstsimd] worker pid " << ex.pid << " died on '"
-              << ex.request_id << "' (signal " << ex.term_signal << ", exit "
-              << ex.exit_code << (ex.hard_killed ? ", deadline kill" : "")
-              << ")\n";
-  }
-  write_metrics();
-  if (!ex.was_busy || ex.request_id.empty()) return;
-  auto it = inflight_.find(ex.request_id);
-  if (it == inflight_.end()) return;
-  QueuedRequest q = std::move(it->second);
-  inflight_.erase(it);
-  RequestRecord rec;
-  rec.id = q.req.id;
-  rec.attempts = q.attempts;
-  rec.out_dir = q.req.out_dir;
-  rec.content_hash = q.content_hash;
-  if (ex.hard_killed) {
-    // The worker blew through watchdog + margin: transient by the same
-    // policy the DSE orchestrator applies to exit code 3.
-    if (maybe_retry(q, "hard deadline exceeded")) return;
-    rec.status = "timeout";
-    rec.exit_code = 3;
-    rec.error = "hard deadline exceeded; worker killed after " +
-                std::to_string(q.attempts) + " attempt(s)";
-  } else if (ex.term_signal != 0) {
-    rec.status = "error";
-    rec.exit_code = 1;
-    rec.term_signal = ex.term_signal;
-    rec.error = "worker pid " + std::to_string(ex.pid) +
-                " killed by signal " + std::to_string(ex.term_signal) +
-                " while running this request";
-  } else {
-    rec.status = "error";
-    rec.exit_code = ex.exit_code != 0 ? ex.exit_code : 1;
-    rec.error = "worker pid " + std::to_string(ex.pid) +
-                " exited unexpectedly (code " + std::to_string(ex.exit_code) +
-                ")";
-  }
-  finish_request(q, std::move(rec));
-}
-
-void Daemon::finish_request(const QueuedRequest& q, RequestRecord rec) {
-  (void)q;
+void Daemon::finish_request(const RequestRecord& rec) {
   ledger_.record(rec);
   if (rec.status == "ok") {
     ++completed_ok_;
@@ -605,57 +472,6 @@ void Daemon::finish_request(const QueuedRequest& q, RequestRecord rec) {
   }
   notify_waiters(rec.id, done_line(rec));
   write_metrics();
-}
-
-bool Daemon::maybe_retry(QueuedRequest q, const std::string& why) {
-  if (q.attempts >= 1 + q.req.retries) return false;
-  const double backoff =
-      q.req.backoff_seconds *
-      static_cast<double>(1u << (q.attempts > 0 ? q.attempts - 1 : 0));
-  ++retries_;
-  if (options_.verbose) {
-    std::cerr << "[sstsimd] retrying '" << q.req.id << "' in " << backoff
-              << "s (attempt " << q.attempts + 1 << "): " << why << "\n";
-  }
-  q.not_before = after_seconds(std::chrono::steady_clock::now(), backoff);
-  queue_.defer(std::move(q));
-  return true;
-}
-
-void Daemon::enforce_deadlines(SteadyTime now) {
-  for (int slot = 0; slot < static_cast<int>(pool_.count()); ++slot) {
-    if (pool_.alive(slot) && pool_.busy(slot) &&
-        pool_.deadline(slot) != SteadyTime::max() &&
-        now >= pool_.deadline(slot)) {
-      pool_.kill_slot(slot);
-    }
-  }
-}
-
-void Daemon::dispatch_ready(SteadyTime now) {
-  for (;;) {
-    const int slot = pool_.idle_slot();
-    if (slot < 0) return;
-    auto q = queue_.pop_ready(now);
-    if (!q) return;
-    q->attempts += 1;
-    SteadyTime deadline = SteadyTime::max();
-    if (q->req.timeout_seconds > 0) {
-      deadline =
-          after_seconds(now, hard_deadline_seconds(q->req.timeout_seconds));
-    }
-    const std::string job = worker_job_to_line(q->req, q->content_hash);
-    const std::string id = q->req.id;
-    if (!pool_.dispatch(slot, job, id, deadline)) {
-      // The worker died before the job landed: un-count the attempt and
-      // requeue; SIGCHLD will respawn the slot.
-      pool_.mark_idle(slot);
-      q->attempts -= 1;
-      queue_.defer(std::move(*q));
-      return;
-    }
-    inflight_[id] = std::move(*q);
-  }
 }
 
 void Daemon::send_line(int fd, const std::string& line) {
@@ -722,17 +538,17 @@ std::string Daemon::done_line(const RequestRecord& rec) const {
 std::string Daemon::status_line() const {
   std::ostringstream os;
   os << "{\"type\":\"status\",\"draining\":" << (draining_ ? "true" : "false")
-     << ",\"queue\":" << queue_.size()
-     << ",\"queue_capacity\":" << queue_.capacity()
-     << ",\"workers\":" << pool_.count()
-     << ",\"busy\":" << pool_.busy_count()
-     << ",\"inflight\":" << inflight_.size()
+     << ",\"queue\":" << executor_.queued()
+     << ",\"queue_capacity\":" << executor_.queue_capacity()
+     << ",\"workers\":" << executor_.workers()
+     << ",\"busy\":" << executor_.busy()
+     << ",\"inflight\":" << executor_.busy()
      << ",\"accepted\":" << accepted_ << ",\"recovered\":" << recovered_
      << ",\"replays\":" << replays_
      << ",\"rejected_overloaded\":" << rejected_overloaded_
      << ",\"rejected_draining\":" << rejected_draining_
      << ",\"rejected_invalid\":" << rejected_invalid_
-     << ",\"retries\":" << retries_
+     << ",\"retries\":" << executor_.retries()
      << ",\"completed_ok\":" << completed_ok_
      << ",\"completed_failed\":" << completed_failed_
      << ",\"completed_timeout\":" << completed_timeout_
@@ -740,7 +556,7 @@ std::string Daemon::status_line() const {
      << ",\"cache_hits\":" << cache_.hits()
      << ",\"cache_misses\":" << cache_.misses()
      << ",\"cache_size\":" << cache_.size()
-     << ",\"worker_restarts\":" << pool_.restarts() << "}";
+     << ",\"worker_restarts\":" << executor_.restarts() << "}";
   return os.str();
 }
 

@@ -2,16 +2,16 @@
 //
 // Single-threaded poll loop over a Unix-domain listening socket, the
 // connected clients, a self-pipe for signals, and the worker socketpairs.
-// The daemon itself never simulates — every request runs in a pre-forked
-// worker process (worker_pool.h), so a crashing, hanging, or OOMing
-// simulation takes down only its worker, which is reaped, diagnosed via
-// the sstsim exit-code contract, and respawned.
+// The daemon itself never simulates — every request runs on the
+// Executor's pre-forked workers (executor.h), the same lifecycle an
+// in-process sweep uses, so a crashing, hanging, or OOMing simulation
+// takes down only its worker, which is reaped, diagnosed via the sstsim
+// exit-code contract, and respawned.
 //
 // Request lifecycle (DESIGN.md "Daemon request lifecycle"):
 //   validate -> spool request.json -> ledger "accepted" -> ack ->
-//   queue -> dispatch (deadline armed) -> reply | death ->
-//   retry with doubling backoff (transient) | final ledger record ->
-//   notify waiting clients.
+//   Executor (queue -> dispatch -> reply | death -> retry) ->
+//   final ledger record -> notify waiting clients.
 // The ledger "accepted" record is durable before the ack, so a daemon
 // killed at any instant restarts, re-enqueues every accepted-but-
 // unfinished request from its spooled request.json, and completes each
@@ -24,19 +24,18 @@
 #include <string>
 #include <vector>
 
+#include "daemon/executor.h"
 #include "daemon/graph_cache.h"
 #include "daemon/protocol.h"
 #include "daemon/request_ledger.h"
-#include "daemon/request_queue.h"
-#include "daemon/worker_pool.h"
 
 namespace sst::daemon {
 
 struct DaemonOptions {
   std::string socket_path;       // Unix-domain socket to serve on
   std::string state_dir;         // ledger + metrics live here
-  unsigned workers = 4;          // pre-forked worker processes
-  std::size_t queue_capacity = 64;   // admission bound (then shed)
+  unsigned workers = 4;          // pre-forked worker processes (>= 1)
+  std::size_t queue_capacity = 64;   // admission bound, >= 1 (then shed)
   std::size_t cache_capacity = 64;   // resident parsed ConfigGraphs
   bool verbose = false;          // per-request stderr notes
 };
@@ -58,7 +57,6 @@ class Daemon {
   struct Client {
     LineBuffer in;
     std::string out;   // bytes not yet written to the (nonblocking) fd
-    bool closing = false;
   };
 
   // Startup.
@@ -67,18 +65,12 @@ class Daemon {
   void close_fds_in_child();  // worker-fork prelude
 
   // Event handling.
-  void handle_signal_byte(char b);
+  void begin_drain();  // SIGTERM/SIGINT or a drain op
   void accept_clients();
   bool service_client(int fd);   // false = connection finished
   void handle_line(int fd, const std::string& line);
   void handle_run(int fd, RunRequest req);
-  void service_worker(int slot);
-  void handle_worker_reply(int slot, const WorkerReply& reply);
-  void handle_worker_exit(const WorkerExit& ex);
-  void finish_request(const QueuedRequest& q, RequestRecord rec);
-  bool maybe_retry(QueuedRequest q, const std::string& why);
-  void enforce_deadlines(SteadyTime now);
-  void dispatch_ready(SteadyTime now);
+  void finish_request(const RequestRecord& rec);
 
   // Replies.
   void send_line(int fd, const std::string& line);
@@ -95,13 +87,10 @@ class Daemon {
   int signal_write_fd_ = -1;
 
   GraphCache cache_;
-  RequestQueue queue_;
   RequestLedger ledger_;
-  WorkerPool pool_;
+  Executor executor_;
 
   std::map<int, Client> clients_;
-  /// Requests handed to a worker, keyed by id (attempts already counted).
-  std::map<std::string, QueuedRequest> inflight_;
   /// Clients awaiting a "done" line per request id.
   std::map<std::string, std::vector<int>> waiters_;
 
@@ -115,7 +104,6 @@ class Daemon {
   std::uint64_t rejected_overloaded_ = 0;
   std::uint64_t rejected_draining_ = 0;
   std::uint64_t rejected_invalid_ = 0;
-  std::uint64_t retries_ = 0;
   std::uint64_t completed_ok_ = 0;
   std::uint64_t completed_failed_ = 0;
   std::uint64_t completed_timeout_ = 0;

@@ -1,7 +1,9 @@
 #include "daemon/protocol.h"
 
+#include <climits>
 #include <sstream>
 
+#include "core/params.h"
 #include "obs/json_util.h"
 
 namespace sst::daemon {
@@ -79,17 +81,32 @@ RunRequest run_request_from_json(const sdl::JsonValue& doc) {
       req.overrides.emplace_back(path, value.as_string());
     }
   }
-  req.ranks = static_cast<unsigned>(doc.get_number("ranks", 0));
   req.end_time = doc.get_string("end", "");
   if (doc.has("seed")) {
     req.seed = static_cast<std::uint64_t>(doc.at("seed").as_number());
   }
-  req.timeout_seconds = doc.get_number("timeout", 300);
-  if (req.timeout_seconds < 0) {
-    throw DaemonError("run op \"timeout\" must be >= 0");
+  // Checked as a sweep spec's "run" section checks them.
+  try {
+    auto count = [&doc](const char* key, unsigned& field) {
+      if (doc.has(key)) {
+        field = static_cast<unsigned>(parse_count(
+            std::string("run op \"") + key + "\"", doc.at(key).dump(), 0,
+            UINT32_MAX));
+      }
+    };
+    auto seconds = [&doc](const char* key, double& field) {
+      if (doc.has(key)) {
+        field = parse_seconds(std::string("run op \"") + key + "\"",
+                              doc.at(key).dump());
+      }
+    };
+    count("ranks", req.ranks);
+    count("retries", req.retries);
+    seconds("timeout", req.timeout_seconds);
+    seconds("backoff", req.backoff_seconds);
+  } catch (const ConfigError& e) {
+    throw DaemonError(e.what());
   }
-  req.retries = static_cast<unsigned>(doc.get_number("retries", 2));
-  req.backoff_seconds = doc.get_number("backoff", 0.5);
   req.test_signal = static_cast<int>(doc.get_number("test_signal", 0));
   return req;
 }

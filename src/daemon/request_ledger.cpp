@@ -1,10 +1,7 @@
 #include "daemon/request_ledger.h"
 
-#include <fstream>
-#include <iostream>
 #include <sstream>
 
-#include "core/atomic_file.h"
 #include "obs/json_util.h"
 
 namespace sst::daemon {
@@ -27,55 +24,20 @@ std::string record_to_line(const RequestRecord& r) {
 }  // namespace
 
 void RequestLedger::load() {
-  std::ifstream in(path_);
-  if (!in) return;
-  std::vector<std::pair<std::size_t, std::string>> lines;
-  {
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-      ++lineno;
-      if (!line.empty()) lines.emplace_back(lineno, std::move(line));
-    }
+  const std::vector<sdl::JsonValue> docs = file_.load();
+  if (docs.empty()) return;
+  const sdl::JsonValue& header = docs.front();
+  if (!header.has("daemon") || header.at("daemon").as_string() != "sstsimd") {
+    throw DaemonError("'" + path() + "' is not an sstsimd request ledger");
   }
-  bool saw_header = false;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const auto& [lineno, line] = lines[i];
-    sdl::JsonValue doc;
-    try {
-      doc = sdl::JsonValue::parse(line);
-    } catch (const sdl::JsonError& e) {
-      if (i + 1 == lines.size()) {
-        std::cerr << "[sstsimd] ledger '" << path_
-                  << "': dropping torn final line " << lineno
-                  << " (interrupted append)\n";
-        // Truncate the fragment so this daemon's appends start fresh
-        // instead of gluing onto it.
-        const std::string terr = truncate_torn_tail(path_, line.size());
-        if (!terr.empty()) {
-          throw DaemonError("ledger '" + path_ +
-                            "': cannot repair torn tail: " + terr);
-        }
-        break;
-      }
-      throw DaemonError("ledger '" + path_ + "' line " +
-                        std::to_string(lineno) +
-                        " is malformed: " + e.what());
-    }
-    if (!saw_header) {
-      if (!doc.has("daemon") || doc.at("daemon").as_string() != "sstsimd") {
-        throw DaemonError("'" + path_ + "' is not an sstsimd request ledger");
-      }
-      if (static_cast<int>(doc.get_number("version", 0)) != kLedgerVersion) {
-        throw DaemonError("ledger '" + path_ + "' has version " +
-                          std::to_string(static_cast<int>(
-                              doc.get_number("version", 0))) +
-                          ", this daemon writes version " +
-                          std::to_string(kLedgerVersion));
-      }
-      saw_header = true;
-      continue;
-    }
+  const int version = static_cast<int>(header.get_number("version", 0));
+  if (version != kLedgerVersion) {
+    throw DaemonError("ledger '" + path() + "' has version " +
+                      std::to_string(version) + ", this daemon writes version " +
+                      std::to_string(kLedgerVersion));
+  }
+  for (std::size_t i = 1; i < docs.size(); ++i) {
+    const sdl::JsonValue& doc = docs[i];
     RequestRecord r;
     r.id = doc.at("id").as_string();
     r.status = doc.at("status").as_string();
@@ -87,7 +49,6 @@ void RequestLedger::load() {
     r.error = doc.get_string("error", "");
     records_[r.id] = std::move(r);
   }
-  header_written_ = saw_header;
 }
 
 void RequestLedger::record(const RequestRecord& rec) {
@@ -98,15 +59,9 @@ void RequestLedger::record(const RequestRecord& rec) {
 
 void RequestLedger::flush() {
   if (pending_.empty()) return;
-  std::string payload;
-  if (!header_written_) {
-    payload = "{\"daemon\":\"sstsimd\",\"version\":" +
-              std::to_string(kLedgerVersion) + "}\n";
-  }
-  payload += pending_;
-  const std::string err = append_durable(path_, payload);
-  if (!err.empty()) throw DaemonError("request ledger: " + err);
-  header_written_ = true;
+  file_.append("{\"daemon\":\"sstsimd\",\"version\":" +
+                   std::to_string(kLedgerVersion) + "}",
+               pending_);
   pending_.clear();
 }
 

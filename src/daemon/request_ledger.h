@@ -13,13 +13,13 @@
 //
 // Writes are group-committed: record() only stages a line in memory;
 // flush() durably appends every staged line in one write + fsync
-// (append_durable).  The daemon flushes once per event-loop pass,
-// *before* any acceptance or completion reply reaches a socket, so a
-// client never observes a state the ledger could lose — while a burst
-// of accepted requests costs one fsync, not one per request.  A later
-// line for the same id supersedes the earlier one; the reader keeps the
-// last, tolerates a torn final line (an appender killed mid-write) by
-// truncating it, and throws on interior corruption.
+// (sdl/jsonl_ledger.h, which also repairs a torn final line on load and
+// throws on interior corruption).  The daemon flushes once per
+// event-loop pass, *before* any acceptance or completion reply reaches a
+// socket, so a client never observes a state the ledger could lose —
+// while a burst of accepted requests costs one fsync, not one per
+// request.  A later line for the same id supersedes the earlier one; the
+// reader keeps the last.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "daemon/protocol.h"
+#include "sdl/jsonl_ledger.h"
 
 namespace sst::daemon {
 
@@ -46,7 +47,8 @@ struct RequestRecord {
 
 class RequestLedger {
  public:
-  explicit RequestLedger(std::string path) : path_(std::move(path)) {}
+  explicit RequestLedger(std::string path)
+      : file_(std::move(path), "sstsimd") {}
 
   /// Reads the ledger if present; a missing file is an empty ledger.
   /// Repairs a torn final line (with a stderr note); throws DaemonError
@@ -74,13 +76,12 @@ class RequestLedger {
   [[nodiscard]] const std::map<std::string, RequestRecord>& records() const {
     return records_;
   }
-  [[nodiscard]] const std::string& path() const { return path_; }
+  [[nodiscard]] const std::string& path() const { return file_.path(); }
 
  private:
-  std::string path_;
+  sdl::JsonlLedger<DaemonError> file_;
   std::map<std::string, RequestRecord> records_;
-  std::string pending_;          // staged JSONL lines, flushed together
-  bool header_written_ = false;  // true once the file has a header line
+  std::string pending_;  // staged JSONL lines, flushed together
 };
 
 }  // namespace sst::daemon

@@ -1,11 +1,13 @@
 #include "daemon/worker_pool.h"
 
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <filesystem>
 #include <iostream>
 #include <sstream>
@@ -21,12 +23,15 @@ namespace sst::daemon {
 
 namespace {
 
-/// Writes the whole buffer, riding out EINTR.  Returns false on error
-/// (for the daemon side that means the worker is gone).
+/// Writes the whole buffer to a socket, riding out EINTR.  Returns false
+/// on error (for the parent that means the worker is gone).  MSG_NOSIGNAL
+/// keeps a dead peer from raising SIGPIPE in a host program that never
+/// ignored it.
 bool write_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ::ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    const ::ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -37,12 +42,28 @@ bool write_all(int fd, const std::string& data) {
 }
 
 /// Runs one job inside the worker process and reports the outcome using
-/// the sstsim exit-code contract — the same diagnosis a fork/exec'd
-/// sstsim child would produce, just delivered in-band.
+/// the sstsim exit-code contract, delivered in-band.
 WorkerReply execute_job(GraphCache& cache, const RunRequest& req,
                         std::uint64_t hash) {
   WorkerReply reply;
   reply.id = req.id;
+  std::error_code ec;
+  fs::create_directories(req.out_dir, ec);
+  // Everything the job prints lands in its run.log, next to its stats,
+  // as for an sstsim run in that directory.
+  const int log =
+      ::open((req.out_dir + "/run.log").c_str(), O_WRONLY | O_CREAT | O_TRUNC,
+             0644);
+  if (log >= 0) {
+    ::dup2(log, 1);
+    ::dup2(log, 2);
+    ::close(log);
+  }
+  auto fail = [&reply](const char* status, int code, const std::exception& e) {
+    reply.status = status;
+    reply.exit_code = code;
+    reply.error = e.what();
+  };
   try {
     if (req.test_signal != 0) {
       // Harness hook: die the way a crashing simulation would, so the
@@ -71,44 +92,33 @@ WorkerReply execute_job(GraphCache& cache, const RunRequest& req,
       for (const auto& p : problems) os << "\n  - " << p;
       throw ConfigError(os.str());
     }
-    std::error_code ec;
-    fs::create_directories(req.out_dir, ec);
-    // Match the fork/exec path: simulations run with the request's out
-    // directory as cwd, so model-relative observability paths land there.
+    // Simulations run with the request's out directory as cwd, so
+    // model-relative observability paths land there.
     if (::chdir(req.out_dir.c_str()) != 0) {
       throw ConfigError("cannot enter out directory '" + req.out_dir + "'");
     }
     auto sim = graph.build();
     const RunStats stats = sim->run();
+    print_done_line(std::cerr, stats);
     std::ostringstream os;
     sim->stats().write_json(os);
     const std::string err = atomic_publish("stats.json", os.str());
-    if (err.empty()) {
-      reply.status = "ok";
-      reply.exit_code = 0;
-      reply.events = stats.events_processed;
-      reply.wall_seconds = stats.wall_seconds;
-    } else {
-      reply.status = "failed";
-      reply.exit_code = 1;
-      reply.error = "stats publish failed: " + err;
-    }
+    if (!err.empty()) throw std::runtime_error("stats publish failed: " + err);
+    reply.status = "ok";
+    reply.events = stats.events_processed;
+    reply.wall_seconds = stats.wall_seconds;
   } catch (const WatchdogError& e) {
-    reply.status = "timeout";
-    reply.exit_code = 3;
-    reply.error = e.what();
+    fail("timeout", 3, e);
   } catch (const DeadlockError& e) {
-    reply.status = "failed";
-    reply.exit_code = 4;
-    reply.error = e.what();
+    fail("failed", 4, e);
   } catch (const ConfigError& e) {
-    reply.status = "failed";
-    reply.exit_code = 2;
-    reply.error = e.what();
+    fail("failed", 2, e);
   } catch (const std::exception& e) {
-    reply.status = "failed";
-    reply.exit_code = 1;
-    reply.error = e.what();
+    fail("failed", 1, e);
+  }
+  if (reply.status != "ok") {
+    std::cerr << "run " << reply.status << " (exit " << reply.exit_code
+              << "): " << reply.error << "\n";
   }
   return reply;
 }
@@ -116,11 +126,13 @@ WorkerReply execute_job(GraphCache& cache, const RunRequest& req,
 }  // namespace
 
 void run_worker_loop(int fd) {
-  // Undo the daemon's signal arrangements: workers die by default
-  // dispositions so the daemon's waitpid diagnosis sees the real cause.
+  // Undo the parent's signal arrangements: workers die by default
+  // dispositions so the parent's waitpid diagnosis sees the real cause.
   ::signal(SIGTERM, SIG_DFL);
   ::signal(SIGINT, SIG_DFL);
   ::signal(SIGPIPE, SIG_IGN);
+  const int own_out = ::dup(1);  // restored after each job's run.log
+  const int own_err = ::dup(2);
   GraphCache cache;
   LineBuffer in;
   std::string line;
@@ -140,11 +152,14 @@ void run_worker_loop(int fd) {
         reply.exit_code = 2;
         reply.error = std::string("bad job line: ") + e.what();
       }
+      std::fflush(nullptr);
+      ::dup2(own_out, 1);
+      ::dup2(own_err, 2);
       if (!write_all(fd, worker_reply_to_line(reply) + "\n")) ::_exit(0);
     }
     const ::ssize_t n = ::read(fd, buf, sizeof buf);
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) ::_exit(0);  // daemon closed the socket: clean drain
+    if (n <= 0) ::_exit(0);  // parent closed the socket: clean drain
     in.feed(buf, static_cast<std::size_t>(n));
   }
 }
@@ -153,14 +168,10 @@ WorkerPool::WorkerPool(unsigned count, std::function<void()> child_prelude)
     : slots_(count), child_prelude_(std::move(child_prelude)) {}
 
 WorkerPool::~WorkerPool() {
-  shutting_down_ = true;
-  for (auto& s : slots_) {
-    if (s.fd >= 0) ::close(s.fd);
-    if (s.pid > 0) {
-      ::kill(s.pid, SIGKILL);
-      ::waitpid(s.pid, nullptr, 0);
-    }
+  for (const auto& s : slots_) {
+    if (s.pid > 0) ::kill(s.pid, SIGKILL);
   }
+  shutdown();
 }
 
 void WorkerPool::start() {
@@ -174,6 +185,9 @@ void WorkerPool::spawn(int slot) {
     throw DaemonError("socketpair failed for worker slot " +
                       std::to_string(slot));
   }
+  // Buffered output of the parent would otherwise be written twice, the
+  // second time into a job's run.log.
+  std::fflush(nullptr);
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(sv[0]);
@@ -241,34 +255,26 @@ void WorkerPool::mark_idle(int slot) {
   s.request_id.clear();
 }
 
-std::vector<WorkerExit> WorkerPool::reap_and_respawn() {
-  std::vector<WorkerExit> exits;
-  for (;;) {
-    int status = 0;
-    const pid_t pid = ::waitpid(-1, &status, WNOHANG);
-    if (pid <= 0) break;
-    for (int i = 0; i < static_cast<int>(slots_.size()); ++i) {
-      Slot& s = slots_[i];
-      if (s.pid != pid) continue;
-      WorkerExit ex;
-      ex.slot = i;
-      ex.pid = pid;
-      if (WIFEXITED(status)) ex.exit_code = WEXITSTATUS(status);
-      if (WIFSIGNALED(status)) ex.term_signal = WTERMSIG(status);
-      ex.was_busy = s.busy;
-      ex.request_id = s.request_id;
-      ex.hard_killed = s.hard_killed;
-      exits.push_back(std::move(ex));
-      if (s.fd >= 0) ::close(s.fd);
-      s = Slot{};
-      if (started_ && !shutting_down_) {
-        spawn(i);
-        ++restarts_;
-      }
-      break;
-    }
+WorkerExit WorkerPool::reap(int slot) {
+  Slot& s = slots_[slot];
+  int status = 0;
+  while (::waitpid(s.pid, &status, 0) < 0 && errno == EINTR) {
   }
-  return exits;
+  WorkerExit ex;
+  ex.slot = slot;
+  ex.pid = s.pid;
+  if (WIFEXITED(status)) ex.exit_code = WEXITSTATUS(status);
+  if (WIFSIGNALED(status)) ex.term_signal = WTERMSIG(status);
+  ex.was_busy = s.busy;
+  ex.request_id = s.request_id;
+  ex.hard_killed = s.hard_killed;
+  if (s.fd >= 0) ::close(s.fd);
+  s = Slot{};
+  if (started_ && !shutting_down_) {
+    spawn(slot);
+    ++restarts_;
+  }
+  return ex;
 }
 
 void WorkerPool::shutdown() {

@@ -1,16 +1,18 @@
-// Pre-forked worker pool: the isolation boundary between the daemon and
-// the simulations it runs.
+// Pre-forked worker pool: the isolation boundary between a process that
+// runs simulations (the sstsimd daemon, or a sweep running in-process)
+// and the simulations themselves.
 //
-// Each worker is a forked child connected to the daemon by a socketpair.
-// The daemon writes one JSONL job line per dispatch; the worker parses
+// Each worker is a forked child connected to its parent by a socketpair.
+// The parent writes one JSONL job line per dispatch; the worker parses
 // the model (through its own content-hash GraphCache, warmed across
-// requests), runs the simulation in-process, publishes stats.json
-// crash-consistently, and writes one JSONL reply line.  Failures the
-// worker can catch (watchdog, deadlock, config, runtime errors) are
-// reported in-band via the sstsim exit-code contract and the worker
-// lives on; a worker that segfaults, OOMs, or is SIGKILLed by the
-// deadline backstop takes only its current request with it — the daemon
-// reaps it, diagnoses the wait status, and forks a replacement.
+// requests), runs the simulation in-process with stdout and stderr in
+// <out>/run.log, publishes stats.json crash-consistently, and writes one
+// JSONL reply line.  Failures the worker can catch (watchdog, deadlock,
+// config, runtime errors) are reported in-band via the sstsim exit-code
+// contract and the worker lives on; a worker that segfaults, OOMs, or is
+// SIGKILLed by the deadline backstop takes only its current request with
+// it — its socket reaches EOF, and the parent reaps it by pid, diagnoses
+// the wait status, and forks a replacement.
 #pragma once
 
 #include <sys/types.h>
@@ -25,11 +27,10 @@
 namespace sst::daemon {
 
 /// Child entry point: serve job lines on `fd` until it closes, then
-/// _exit(0).  Never returns.  Exposed for tests and for sstsimd's
-/// single-process debugging mode.
+/// _exit(0).  Never returns.
 [[noreturn]] void run_worker_loop(int fd);
 
-/// What the daemon learns when it reaps a dead worker.
+/// What the parent learns when it reaps a dead worker.
 struct WorkerExit {
   int slot = -1;
   pid_t pid = -1;
@@ -37,14 +38,14 @@ struct WorkerExit {
   int term_signal = 0;  // valid when killed by a signal
   bool was_busy = false;
   std::string request_id;  // request in flight when the worker died
-  bool hard_killed = false;  // daemon's deadline SIGKILL, not a crash
+  bool hard_killed = false;  // the deadline SIGKILL, not a crash
 };
 
 class WorkerPool {
  public:
   /// `child_prelude` runs in each freshly forked worker before the serve
   /// loop — the daemon uses it to close its listener, client, and signal
-  /// fds so workers hold no daemon resources.
+  /// fds so workers hold no daemon resources (nullptr = nothing to do).
   WorkerPool(unsigned count, std::function<void()> child_prelude);
   ~WorkerPool();
 
@@ -61,7 +62,7 @@ class WorkerPool {
   [[nodiscard]] unsigned busy_count() const;
 
   /// Sends a job and marks the slot busy.  Returns false when the write
-  /// fails (worker just died — the caller will see it in reap()).
+  /// fails (the worker just died; reap() it).
   bool dispatch(int slot, const std::string& job_line,
                 const std::string& request_id,
                 std::chrono::steady_clock::time_point deadline);
@@ -70,8 +71,10 @@ class WorkerPool {
   /// busy until reap() returns its WorkerExit with hard_killed set.
   void kill_slot(int slot);
 
-  /// Reaps every dead child, forks replacements, and reports what died.
-  std::vector<WorkerExit> reap_and_respawn();
+  /// Reaps the worker on `slot` by pid once its socket has reached EOF
+  /// (it died or is dying; blocks until it is gone), forks a replacement,
+  /// and reports what died.  Never waits for any other child.
+  WorkerExit reap(int slot);
 
   /// Marks a slot idle again after its in-band reply was consumed.
   void mark_idle(int slot);
@@ -94,7 +97,7 @@ class WorkerPool {
   [[nodiscard]] std::uint64_t restarts() const { return restarts_; }
 
   /// Closes every worker fd (workers see EOF and _exit(0)) and waits for
-  /// them.  Used on drain; the destructor falls back to SIGKILL.
+  /// them.  The destructor falls back to SIGKILL.
   void shutdown();
 
  private:

@@ -34,8 +34,7 @@ void write_file(const std::string& path, const std::string& content) {
 
 /// Executes the orchestrate + aggregate + report tail shared by run and
 /// resume.  `spec` must already have its model path resolved.
-int execute(const SweepSpec& spec, const std::string& out_dir,
-            const std::string& sstsim_path, bool quiet,
+int execute(const SweepSpec& spec, const std::string& out_dir, bool quiet,
             const std::string& daemon_socket, std::ostream& out,
             std::ostream& err) {
   const sdl::JsonValue base_model =
@@ -47,7 +46,6 @@ int execute(const SweepSpec& spec, const std::string& out_dir,
   ledger.load(spec.name, points.size());
 
   OrchestratorOptions orch;
-  orch.sstsim_path = sstsim_path;
   orch.out_dir = out_dir;
   orch.verbose = !quiet;
   orch.daemon_socket = daemon_socket;
@@ -72,20 +70,47 @@ int execute(const SweepSpec& spec, const std::string& out_dir,
   return summary.failed == 0 ? kSweepExitOk : kSweepExitFailed;
 }
 
+/// The spec archived in a sweep directory by `run`.
+SweepSpec archived_spec(const std::string& out_dir) {
+  const std::string spec_file = out_dir + "/sweep.json";
+  if (!fs::exists(spec_file)) {
+    throw SweepError("no sweep.json under '" + out_dir +
+                     "' (was this directory created by 'run'?)");
+  }
+  return SweepSpec::from_json_text(read_file(spec_file), out_dir);
+}
+
+/// Runs `body`, reporting daemon and configuration errors as `what`
+/// failures with their exit codes.
+template <typename Body>
+int guarded(const char* what, std::ostream& err, Body&& body) {
+  try {
+    return body();
+  } catch (const daemon::DaemonError& e) {
+    err << what << " failed: " << e.what() << "\n";
+    return kSweepExitDaemon;
+  } catch (const ConfigError& e) {
+    err << what << " failed: " << e.what() << "\n";
+    return kSweepExitConfig;
+  }
+}
+
 }  // namespace
+
+SweepSpec load_spec(const std::string& path) {
+  return SweepSpec::from_json_text(read_file(path),
+                                   fs::path(path).parent_path().string());
+}
 
 int run_sweep(const DriverOptions& options, std::ostream& out,
               std::ostream& err) {
-  try {
-    const fs::path spec_path(options.spec_path);
-    SweepSpec spec = SweepSpec::from_json_text(
-        read_file(options.spec_path),
-        spec_path.parent_path().string());
+  return guarded("sweep", err, [&] {
+    SweepSpec spec = load_spec(options.spec_path);
     if (options.jobs > 0) spec.run.concurrency = options.jobs;
 
     std::string out_dir = options.out_dir;
     if (out_dir.empty()) {
-      out_dir = spec_path.stem().string() + ".sweep";
+      out_dir = fs::path(options.spec_path).stem().string() + ".sweep";
     }
     fs::create_directories(out_dir);
 
@@ -98,51 +123,25 @@ int run_sweep(const DriverOptions& options, std::ostream& out,
     archived.model_path = "model.json";  // relative to the sweep dir
     write_file(out_dir + "/sweep.json", archived.to_json().dump(2) + "\n");
 
-    return execute(spec, out_dir, options.sstsim_path, options.quiet,
-                   options.daemon_socket, out, err);
-  } catch (const daemon::DaemonError& e) {
-    err << "sweep failed: " << e.what() << "\n";
-    return kSweepExitDaemon;
-  } catch (const ConfigError& e) {
-    err << "sweep failed: " << e.what() << "\n";
-    return kSweepExitConfig;
-  }
+    return execute(spec, out_dir, options.quiet, options.daemon_socket, out,
+                   err);
+  });
 }
 
-int resume_sweep(const std::string& out_dir, const std::string& sstsim_path,
-                 unsigned jobs, bool quiet, std::ostream& out,
-                 std::ostream& err, const std::string& daemon_socket) {
-  try {
-    const std::string spec_file = out_dir + "/sweep.json";
-    if (!fs::exists(spec_file)) {
-      err << "resume: no sweep.json under '" << out_dir
-          << "' (was this directory created by 'run'?)\n";
-      return kSweepExitConfig;
-    }
-    SweepSpec spec =
-        SweepSpec::from_json_text(read_file(spec_file), out_dir);
+int resume_sweep(const std::string& out_dir, unsigned jobs, bool quiet,
+                 std::ostream& out, std::ostream& err,
+                 const std::string& daemon_socket) {
+  return guarded("resume", err, [&] {
+    SweepSpec spec = archived_spec(out_dir);
     if (jobs > 0) spec.run.concurrency = jobs;
-    return execute(spec, out_dir, sstsim_path, quiet, daemon_socket, out,
-                   err);
-  } catch (const daemon::DaemonError& e) {
-    err << "resume failed: " << e.what() << "\n";
-    return kSweepExitDaemon;
-  } catch (const ConfigError& e) {
-    err << "resume failed: " << e.what() << "\n";
-    return kSweepExitConfig;
-  }
+    return execute(spec, out_dir, quiet, daemon_socket, out, err);
+  });
 }
 
 int report_sweep(const std::string& out_dir, std::ostream& out,
                  std::ostream& err) {
-  try {
-    const std::string spec_file = out_dir + "/sweep.json";
-    if (!fs::exists(spec_file)) {
-      err << "report: no sweep.json under '" << out_dir << "'\n";
-      return kSweepExitConfig;
-    }
-    const SweepSpec spec =
-        SweepSpec::from_json_text(read_file(spec_file), out_dir);
+  return guarded("report", err, [&] {
+    const SweepSpec spec = archived_spec(out_dir);
     const std::vector<Point> points = generate_points(spec);
     Ledger ledger(out_dir + "/ledger.jsonl");
     ledger.load(spec.name, points.size());
@@ -151,10 +150,7 @@ int report_sweep(const std::string& out_dir, std::ostream& out,
     compute_pareto(spec, rows);
     write_report(spec, rows, out);
     return kSweepExitOk;
-  } catch (const ConfigError& e) {
-    err << "report failed: " << e.what() << "\n";
-    return kSweepExitConfig;
-  }
+  });
 }
 
 }  // namespace sst::dse

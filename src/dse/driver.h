@@ -12,11 +12,15 @@
 //
 // `run` creates the directory (or resumes it), `resume` requires it,
 // `report` only re-aggregates.  Everything needed to resume lives inside
-// the directory, so it survives the original spec file moving.
+// the directory, so it survives the original spec file moving.  Points
+// run on worker processes forked by this process (or on a running
+// sstsimd's with a daemon socket); no simulator binary is involved.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+
+#include "dse/sweep_spec.h"
 
 namespace sst::dse {
 
@@ -31,12 +35,15 @@ constexpr int kSweepExitDaemon = 7;  // --daemon socket unreachable/protocol
 struct DriverOptions {
   std::string spec_path;    // run: the sweep spec file
   std::string out_dir;      // "" = <spec stem>.sweep next to the cwd
-  std::string sstsim_path;  // child simulator binary
   unsigned jobs = 0;        // override spec run.concurrency (0 = spec's)
   bool quiet = false;       // suppress per-point progress on stderr
-  std::string daemon_socket;  // submit points to sstsimd instead of
-                              // fork/exec ("" = fork/exec children)
+  std::string daemon_socket;  // submit points to sstsimd instead of a
+                              // pool forked for the sweep ("" = pool)
 };
+
+/// Reads the sweep spec at `path`; its model path resolves against the
+/// spec's directory.  Throws SweepError.
+[[nodiscard]] SweepSpec load_spec(const std::string& path);
 
 /// Runs (or resumes, when out_dir already has a ledger) a sweep.
 /// Returns a sweep exit code; errors are printed to `err`, the final
@@ -48,9 +55,9 @@ int run_sweep(const DriverOptions& options, std::ostream& out,
 /// `daemon_socket` resumes through the daemon; finished requests the
 /// daemon already completed (e.g. after it recovered a kill -9) are
 /// replayed from its ledger without re-running.
-int resume_sweep(const std::string& out_dir, const std::string& sstsim_path,
-                 unsigned jobs, bool quiet, std::ostream& out,
-                 std::ostream& err, const std::string& daemon_socket = "");
+int resume_sweep(const std::string& out_dir, unsigned jobs, bool quiet,
+                 std::ostream& out, std::ostream& err,
+                 const std::string& daemon_socket = "");
 
 /// Re-aggregates and reports an existing sweep directory without
 /// running anything.

@@ -1,10 +1,7 @@
 #include "dse/ledger.h"
 
-#include <fstream>
-#include <iostream>
 #include <sstream>
 
-#include "core/atomic_file.h"
 #include "obs/json_util.h"
 
 namespace sst::dse {
@@ -26,68 +23,32 @@ std::string record_to_line(const LedgerRecord& r) {
 
 }  // namespace
 
-Ledger::Ledger(std::string path) : path_(std::move(path)) {}
+Ledger::Ledger(std::string path) : file_(std::move(path), "dse") {}
 
 bool Ledger::load(const std::string& sweep_name, std::uint64_t point_count) {
-  std::ifstream in(path_);
-  if (!in) return false;
-  std::vector<std::pair<std::size_t, std::string>> lines;  // (lineno, text)
-  {
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-      ++lineno;
-      if (!line.empty()) lines.emplace_back(lineno, std::move(line));
-    }
+  const std::vector<sdl::JsonValue> docs = file_.load();
+  if (docs.empty()) return false;
+  // Header: {"sweep": name, "points": N}
+  const sdl::JsonValue& header = docs.front();
+  if (!header.has("sweep") || !header.has("points")) {
+    throw SweepError("ledger '" + path() + "' has no header line");
   }
-  bool saw_header = false;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const auto& [lineno, line] = lines[i];
-    sdl::JsonValue doc;
-    try {
-      doc = sdl::JsonValue::parse(line);
-    } catch (const sdl::JsonError& e) {
-      // A malformed *final* line is a torn tail — an appender died
-      // mid-write.  The prefix is still a valid ledger, so ignore the
-      // fragment instead of failing the whole resume.  Malformed
-      // interior lines mean real corruption and still throw.
-      if (i + 1 == lines.size()) {
-        std::cerr << "[dse] ledger '" << path_ << "': dropping torn final "
-                  << "line " << lineno << " (interrupted append)\n";
-        // Truncate the fragment so this sweep's appends start fresh
-        // instead of gluing onto it.
-        const std::string terr = truncate_torn_tail(path_, line.size());
-        if (!terr.empty()) {
-          throw SweepError("ledger '" + path_ +
-                           "': cannot repair torn tail: " + terr);
-        }
-        break;
-      }
-      throw SweepError("ledger '" + path_ + "' line " +
-                       std::to_string(lineno) + " is malformed: " + e.what());
-    }
-    if (!saw_header) {
-      // Header: {"sweep": name, "points": N}
-      if (!doc.has("sweep") || !doc.has("points")) {
-        throw SweepError("ledger '" + path_ + "' has no header line");
-      }
-      if (doc.at("sweep").as_string() != sweep_name) {
-        throw SweepError("ledger '" + path_ + "' belongs to sweep '" +
-                         doc.at("sweep").as_string() + "', not '" +
-                         sweep_name + "'");
-      }
-      if (static_cast<std::uint64_t>(doc.at("points").as_number()) !=
-          point_count) {
-        throw SweepError("ledger '" + path_ + "' records " +
-                         std::to_string(static_cast<std::uint64_t>(
-                             doc.at("points").as_number())) +
-                         " points but the spec generates " +
-                         std::to_string(point_count) +
-                         " (was the spec edited mid-sweep?)");
-      }
-      saw_header = true;
-      continue;
-    }
+  if (header.at("sweep").as_string() != sweep_name) {
+    throw SweepError("ledger '" + path() + "' belongs to sweep '" +
+                     header.at("sweep").as_string() + "', not '" +
+                     sweep_name + "'");
+  }
+  const auto recorded =
+      static_cast<std::uint64_t>(header.at("points").as_number());
+  if (recorded != point_count) {
+    throw SweepError("ledger '" + path() + "' records " +
+                     std::to_string(recorded) +
+                     " points but the spec generates " +
+                     std::to_string(point_count) +
+                     " (was the spec edited mid-sweep?)");
+  }
+  for (std::size_t i = 1; i < docs.size(); ++i) {
+    const sdl::JsonValue& doc = docs[i];
     LedgerRecord r;
     r.point = static_cast<std::uint64_t>(doc.at("point").as_number());
     r.status = doc.at("status").as_string();
@@ -101,22 +62,15 @@ bool Ledger::load(const std::string& sweep_name, std::uint64_t point_count) {
     }
     records_[r.point] = std::move(r);
   }
-  header_written_ = saw_header;
-  return saw_header;
+  return true;
 }
 
 void Ledger::append(const LedgerRecord& record, const std::string& sweep_name,
                     std::uint64_t point_count) {
   records_[record.point] = record;
-  std::ostringstream os;
-  if (!header_written_) {
-    os << "{\"sweep\":\"" << obs::json_escape(sweep_name)
-       << "\",\"points\":" << point_count << "}\n";
-  }
-  os << record_to_line(record) << "\n";
-  const std::string err = append_durable(path_, os.str());
-  if (!err.empty()) throw SweepError("ledger: " + err);
-  header_written_ = true;
+  file_.append("{\"sweep\":\"" + obs::json_escape(sweep_name) +
+                   "\",\"points\":" + std::to_string(point_count) + "}",
+               record_to_line(record) + "\n");
 }
 
 }  // namespace sst::dse

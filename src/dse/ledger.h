@@ -4,11 +4,10 @@
 // sweep can refuse a mismatched directory instead of silently mixing
 // results.
 //
-// Appends are durable (single O_APPEND write + fsync via
-// append_durable): a SIGKILL at any instant leaves at most one torn
-// tail fragment, which load() discards as an interrupted append.  A
-// later line for the same point supersedes the earlier one, so
-// re-recording never needs a rewrite.
+// Each final outcome is one durable append (sdl/jsonl_ledger.h, which
+// also discards a torn tail left by a SIGKILL).  A later line for the
+// same point supersedes the earlier one, so re-recording never needs a
+// rewrite.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +16,7 @@
 #include <vector>
 
 #include "dse/sweep_spec.h"
+#include "sdl/jsonl_ledger.h"
 
 namespace sst::dse {
 
@@ -57,12 +57,11 @@ class Ledger {
   [[nodiscard]] const std::map<std::uint64_t, LedgerRecord>& records() const {
     return records_;
   }
-  [[nodiscard]] const std::string& path() const { return path_; }
+  [[nodiscard]] const std::string& path() const { return file_.path(); }
 
  private:
-  std::string path_;
+  sdl::JsonlLedger<SweepError> file_;
   std::map<std::uint64_t, LedgerRecord> records_;
-  bool header_written_ = false;  // true once the file has a header line
 };
 
 }  // namespace sst::dse

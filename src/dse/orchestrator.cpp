@@ -1,21 +1,23 @@
 #include "dse/orchestrator.h"
 
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
+#include <poll.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <sstream>
 #include <thread>
 
 #include "daemon/client.h"
+#include "daemon/executor.h"
+#include "daemon/graph_cache.h"
 
 namespace fs = std::filesystem;
 
@@ -23,26 +25,10 @@ namespace sst::dse {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-// sstsim's documented watchdog exit code: the transient-outcome marker.
-constexpr int kChildWatchdogExit = 3;
-// _exit() value of a child whose execv failed (distinct from every
-// documented sstsim code).
-constexpr int kExecFailedExit = 127;
-
-struct PendingPoint {
-  const Point* point = nullptr;
-  unsigned attempts = 0;          // attempts already made
-  Clock::time_point not_before;   // backoff gate
-};
-
-struct RunningPoint {
-  const Point* point = nullptr;
-  unsigned attempts = 1;          // attempts including this one
-  Clock::time_point hard_deadline;
-  bool hard_killed = false;
-};
+/// Writes a point's model.json and builds its request, just before the
+/// point is handed over (so only the points in flight hold a copy).
+using Submit = std::function<daemon::QueuedRequest(const Point&)>;
+using Finish = std::function<void(const daemon::RequestRecord&)>;
 
 /// Writes the point's materialized model (base + axis overrides).
 void write_point_model(const SweepSpec& spec, const Point& point,
@@ -56,41 +42,6 @@ void write_point_model(const SweepSpec& spec, const Point& point,
   if (!out) throw SweepError("cannot write point model '" + path + "'");
 }
 
-/// fsync a finished child's output so the ledger's "ok" never outlives
-/// the stats it vouches for.
-void fsync_file(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-}
-
-/// fork + chdir + redirect + execv.  Only async-signal-safe calls run
-/// between fork and execv.
-pid_t spawn_child(const std::vector<std::string>& argv,
-                  const std::string& dir) {
-  std::vector<char*> cargv;
-  cargv.reserve(argv.size() + 1);
-  for (const auto& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
-  cargv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid < 0) throw SweepError("fork failed");
-  if (pid == 0) {
-    if (::chdir(dir.c_str()) != 0) ::_exit(kExecFailedExit);
-    const int log =
-        ::open("run.log", O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (log >= 0) {
-      ::dup2(log, 1);
-      ::dup2(log, 2);
-      if (log > 2) ::close(log);
-    }
-    ::execv(cargv[0], cargv.data());
-    ::_exit(kExecFailedExit);
-  }
-  return pid;
-}
-
 /// Zero-padded point label ("p000042") — the request-id component and
 /// the directory name share it.
 std::string point_label(std::uint64_t id) {
@@ -100,137 +51,86 @@ std::string point_label(std::uint64_t id) {
   return buf;
 }
 
-/// Daemon-backed execution: every point becomes one run request on the
-/// sstsimd socket.  The daemon owns the per-point lifecycle (watchdog
-/// deadline, doubling-backoff retries, crash isolation in its worker
-/// pool); this side only submits with bounded in-flight credit and folds
-/// the "done" replies into the sweep ledger.  Request ids are stable
-/// ("<sweep>/p<id>"), so resuming after the daemon recovered a kill -9
-/// replays already-finished work from its ledger instead of re-running.
-OrchestratorSummary run_points_daemon(const SweepSpec& spec,
-                                      const std::vector<Point>& points,
-                                      Ledger& ledger,
-                                      const OrchestratorOptions& options) {
-  OrchestratorSummary summary;
-  std::string model_bytes;
-  {
-    std::ifstream in(spec.model_path);
-    if (!in) throw SweepError("cannot open '" + spec.model_path + "'");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    model_bytes = buf.str();
-  }
-
-  struct Job {
-    const Point* point = nullptr;
-    std::string id;
-  };
-  std::deque<Job> todo;
-  for (const auto& p : points) {
-    const LedgerRecord* rec = ledger.record(p.id);
-    if (rec != nullptr && rec->status == "ok") {
-      ++summary.skipped;
-      continue;
+/// Runs the points on a worker pool forked for this sweep.
+void run_on_pool(std::deque<const Point*> todo, unsigned workers, bool verbose,
+                 const Submit& submit, const Finish& finish) {
+  daemon::Executor executor(workers, todo.size(), nullptr, "dse", verbose);
+  executor.start();
+  std::size_t left = todo.size();
+  std::vector<pollfd> fds;
+  while (left > 0) {
+    // Hand over at most one more point per worker than is running.
+    while (!todo.empty() && executor.queued() < executor.workers()) {
+      executor.enqueue(submit(*todo.front()));
+      todo.pop_front();
     }
-    std::string id = spec.name + "/" + point_label(p.id);
-    // A re-attempt of a previously failed point needs a fresh request id,
-    // or the daemon would replay the recorded failure verbatim.
-    if (rec != nullptr) id += "@a" + std::to_string(rec->attempts);
-    todo.push_back({&p, std::move(id)});
+    const auto now = std::chrono::steady_clock::now();
+    executor.step(now);
+    fds.clear();
+    executor.poll_fds(fds);
+    if (::poll(fds.data(), fds.size(), executor.poll_timeout_ms(now)) < 0 &&
+        errno != EINTR) {
+      throw SweepError("poll on the sweep's workers failed");
+    }
+    for (const daemon::RequestRecord& rec : executor.service(fds)) {
+      finish(rec);
+      --left;
+    }
   }
-  const std::uint64_t to_run = todo.size();
-  if (options.verbose && summary.skipped > 0) {
-    std::cerr << "[dse] resuming: " << summary.skipped
-              << " points already complete, " << to_run << " to run\n";
-  }
-  if (to_run == 0) return summary;
+  executor.shutdown();
+}
 
-  daemon::DaemonClient client(options.daemon_socket);
-  // In-flight credit: never submit more than the daemon's admission
-  // queue can hold, so a single sweep cannot trip its own overload
-  // shedding.
-  std::size_t window = 16;
-  {
-    const sdl::JsonValue st = client.status();
-    const auto cap =
-        static_cast<std::size_t>(st.get_number("queue_capacity", 16));
-    window = cap > 0 ? cap : 1;
-  }
+/// Runs the points on a running sstsimd: the daemon's Executor applies
+/// the same lifecycle; this side submits with bounded in-flight credit.
+/// Request ids are stable ("<sweep>/p<id>"), so resuming after the daemon
+/// recovered a kill -9 replays finished work from its ledger.
+void run_on_daemon(std::deque<const Point*> todo, const std::string& socket,
+                   const Submit& submit, const Finish& finish) {
+  daemon::DaemonClient client(socket);
+  // Never submit more than the daemon's admission queue can hold, so a
+  // single sweep cannot trip its own overload shedding.
+  const auto capacity = static_cast<std::size_t>(
+      client.status().get_number("queue_capacity", 16));
+  const std::size_t window = capacity > 0 ? capacity : 1;
 
   std::map<std::string, const Point*> inflight;
-  std::uint64_t finished = 0;
-  auto submit = [&](Job job) {
-    const std::string dir = point_dir(options.out_dir, job.point->id);
-    fs::create_directories(dir);
-    daemon::RunRequest req;
-    req.id = job.id;
-    req.model_json = model_bytes;
-    req.out_dir = dir;
-    for (std::size_t a = 0; a < spec.axes.size(); ++a) {
-      req.overrides.emplace_back(spec.axes[a].path, job.point->values[a]);
-    }
-    req.ranks = spec.run.ranks;
-    req.end_time = spec.run.end_time;
-    req.timeout_seconds = spec.run.timeout_seconds;
-    req.retries = spec.run.retries;
-    req.backoff_seconds = spec.run.backoff_seconds;
-    client.send(req);
-    inflight.emplace(std::move(job.id), job.point);
-  };
-
   while (!todo.empty() || !inflight.empty()) {
     while (!todo.empty() && inflight.size() < window) {
-      submit(std::move(todo.front()));
+      const daemon::QueuedRequest q = submit(*todo.front());
+      client.send(q.req);
+      inflight.emplace(q.req.id, todo.front());
       todo.pop_front();
     }
     const sdl::JsonValue reply = client.next_reply();
     const std::string type = reply.get_string("type", "");
     const std::string id = reply.get_string("id", "");
-    if (type == "accepted") continue;
+    if (type == "error") {
+      throw daemon::DaemonError("daemon: " + reply.get_string("error", "?"));
+    }
+    const auto it = inflight.find(id);
+    if (it == inflight.end()) continue;
     if (type == "rejected") {
       if (reply.get_string("reason", "") == "draining") {
-        throw daemon::DaemonError("daemon at '" + options.daemon_socket +
+        throw daemon::DaemonError("daemon at '" + socket +
                                   "' is draining and refused the sweep");
       }
-      const auto it = inflight.find(id);
-      if (it == inflight.end()) continue;
       // Overloaded (other clients share the queue): back off briefly,
       // then resubmit — the shed is explicit and bounded, not a hang.
-      todo.push_back({it->second, it->first});
+      todo.push_back(it->second);
       inflight.erase(it);
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       continue;
     }
-    if (type == "error") {
-      throw daemon::DaemonError("daemon: " + reply.get_string("error", "?"));
-    }
     if (type != "done") continue;
-    const auto it = inflight.find(id);
-    if (it == inflight.end()) continue;
-    const Point* point = it->second;
     inflight.erase(it);
-
-    LedgerRecord rec;
-    rec.point = point->id;
-    const std::string status = reply.get_string("status", "failed");
-    rec.status = (status == "ok" || status == "timeout") ? status : "failed";
+    daemon::RequestRecord rec;
+    rec.id = id;
+    rec.status = reply.get_string("status", "failed");
     rec.exit_code = static_cast<int>(reply.get_number("exit", 1));
     rec.term_signal = static_cast<int>(reply.get_number("signal", 0));
     rec.attempts = static_cast<unsigned>(reply.get_number("attempts", 1));
-    rec.values = point->values;
-    if (rec.status == "ok") {
-      ++summary.ok;  // the worker published stats.json durably already
-    } else {
-      ++summary.failed;
-    }
-    ledger.append(rec, spec.name, points.size());
-    ++finished;
-    if (options.verbose) {
-      std::cerr << "[dse] point " << rec.point << " " << rec.status << " ("
-                << finished << "/" << to_run << ", daemon)\n";
-    }
+    finish(rec);
   }
-  return summary;
 }
 
 }  // namespace
@@ -244,156 +144,90 @@ OrchestratorSummary run_points(const SweepSpec& spec,
                                const sdl::JsonValue& base_model,
                                Ledger& ledger,
                                const OrchestratorOptions& options) {
-  if (!options.daemon_socket.empty()) {
-    return run_points_daemon(spec, points, ledger, options);
-  }
   OrchestratorSummary summary;
-  // The child chdirs into its point directory, so the binary path must
-  // survive the move.
-  const std::string sstsim = fs::absolute(options.sstsim_path).string();
-  if (!fs::exists(sstsim)) {
-    throw SweepError("simulator binary '" + options.sstsim_path +
-                     "' does not exist");
+  std::string model_bytes;
+  {
+    std::ifstream in(spec.model_path);
+    if (!in) throw SweepError("cannot open '" + spec.model_path + "'");
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    model_bytes = buf.str();
   }
+  const std::uint64_t hash = daemon::GraphCache::content_hash(model_bytes);
+  // Workers chdir into each point directory, so paths must survive that.
+  const std::string out_dir = fs::absolute(options.out_dir).string();
 
-  std::deque<PendingPoint> pending;
+  std::deque<const Point*> todo;
   for (const auto& p : points) {
     const LedgerRecord* rec = ledger.record(p.id);
     if (rec != nullptr && rec->status == "ok") {
       ++summary.skipped;
-      continue;
+    } else {
+      todo.push_back(&p);
     }
-    pending.push_back({&p, 0, Clock::now()});
   }
-  const std::uint64_t to_run = pending.size();
+  const std::uint64_t to_run = todo.size();
   if (options.verbose && summary.skipped > 0) {
     std::cerr << "[dse] resuming: " << summary.skipped
               << " points already complete, " << to_run << " to run\n";
   }
+  if (to_run == 0) return summary;
 
-  const double timeout = spec.run.timeout_seconds;
-  std::map<pid_t, RunningPoint> running;
-  std::uint64_t finished = 0;
-
-  auto finalize = [&](const RunningPoint& run, const std::string& status,
-                      int exit_code, int sig) {
-    LedgerRecord rec;
-    rec.point = run.point->id;
-    rec.status = status;
-    rec.exit_code = exit_code;
-    rec.term_signal = sig;
-    rec.attempts = run.attempts;
-    rec.values = run.point->values;
-    if (status == "ok") {
-      fsync_file(point_dir(options.out_dir, rec.point) + "/stats.json");
-      ++summary.ok;
-    } else {
-      ++summary.failed;
+  std::map<std::string, const Point*> by_id;
+  const Submit submit = [&](const Point& p) {
+    daemon::QueuedRequest q;
+    daemon::RunRequest& req = q.req;
+    req.id = spec.name + "/" + point_label(p.id);
+    // A re-attempt of a previously failed point needs a fresh request id,
+    // or a daemon would replay the recorded failure verbatim.
+    if (const LedgerRecord* rec = ledger.record(p.id)) {
+      req.id += "@a" + std::to_string(rec->attempts);
     }
+    req.model_json = model_bytes;
+    req.out_dir = point_dir(out_dir, p.id);
+    for (std::size_t a = 0; a < spec.axes.size(); ++a) {
+      req.overrides.emplace_back(spec.axes[a].path, p.values[a]);
+    }
+    req.ranks = spec.run.ranks;
+    req.end_time = spec.run.end_time;
+    req.timeout_seconds = spec.run.timeout_seconds;
+    req.retries = spec.run.retries;
+    req.backoff_seconds = spec.run.backoff_seconds;
+    q.content_hash = hash;
+    by_id[req.id] = &p;
+    fs::create_directories(req.out_dir);
+    write_point_model(spec, p, base_model, req.out_dir);
+    return q;
+  };
+  std::uint64_t finished = 0;
+  const Finish finish = [&](const daemon::RequestRecord& r) {
+    const Point* point = by_id.at(r.id);
+    LedgerRecord rec;
+    rec.point = point->id;
+    // The sweep ledger knows ok, timeout and failed; a worker's death by
+    // a signal other than the deadline kill (daemon status "error") is a
+    // failure.
+    rec.status = r.status == "ok" || r.status == "timeout" ? r.status
+                                                           : "failed";
+    rec.exit_code = r.exit_code;
+    rec.term_signal = r.term_signal;
+    rec.attempts = r.attempts;
+    rec.values = point->values;
+    ++(rec.status == "ok" ? summary.ok : summary.failed);
     ledger.append(rec, spec.name, points.size());
     ++finished;
     if (options.verbose) {
-      std::cerr << "[dse] point " << rec.point << " " << status << " ("
+      std::cerr << "[dse] point " << rec.point << " " << rec.status << " ("
                 << finished << "/" << to_run << ")\n";
     }
   };
 
-  while (!pending.empty() || !running.empty()) {
-    // Fill free worker slots with ready pending points.
-    while (running.size() < spec.run.concurrency && !pending.empty()) {
-      // Pull the first ready entry (backoff may gate the head while a
-      // later first-attempt point is ready).
-      auto ready = pending.end();
-      for (auto it = pending.begin(); it != pending.end(); ++it) {
-        if (it->not_before <= Clock::now()) {
-          ready = it;
-          break;
-        }
-      }
-      if (ready == pending.end()) break;
-      const PendingPoint job = *ready;
-      pending.erase(ready);
-
-      const std::string dir = point_dir(options.out_dir, job.point->id);
-      fs::create_directories(dir);
-      write_point_model(spec, *job.point, base_model, dir);
-
-      std::vector<std::string> argv = {sstsim, "model.json", "--stats",
-                                       "stats.json", "--stats-format",
-                                       "json"};
-      if (timeout > 0) {
-        argv.push_back("--watchdog");
-        argv.push_back(std::to_string(timeout));
-      }
-      if (spec.run.ranks > 0) {
-        argv.push_back("--ranks");
-        argv.push_back(std::to_string(spec.run.ranks));
-      }
-      if (!spec.run.end_time.empty()) {
-        argv.push_back("--end");
-        argv.push_back(spec.run.end_time);
-      }
-      const pid_t pid = spawn_child(argv, dir);
-      RunningPoint run;
-      run.point = job.point;
-      run.attempts = job.attempts + 1;
-      // The child's own watchdog fires at `timeout`; the hard deadline
-      // only catches children too wedged to honour it.
-      run.hard_deadline =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(
-                                 timeout > 0 ? timeout * 1.5 + 2.0 : 1e9));
-      running.emplace(pid, run);
-    }
-
-    // Reap.
-    int status = 0;
-    const pid_t pid = ::waitpid(-1, &status, WNOHANG);
-    if (pid > 0) {
-      auto it = running.find(pid);
-      if (it == running.end()) continue;  // not ours (shouldn't happen)
-      const RunningPoint run = it->second;
-      running.erase(it);
-
-      const bool exited = WIFEXITED(status);
-      const int exit_code = exited ? WEXITSTATUS(status) : 0;
-      const int sig = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
-      const bool transient =
-          (exited && exit_code == kChildWatchdogExit) || sig != 0;
-      if (exited && exit_code == 0) {
-        finalize(run, "ok", 0, 0);
-      } else if (transient && run.attempts <= spec.run.retries) {
-        const double backoff =
-            spec.run.backoff_seconds * static_cast<double>(1u << (run.attempts - 1));
-        if (options.verbose) {
-          std::cerr << "[dse] point " << run.point->id << " attempt "
-                    << run.attempts << " "
-                    << (sig != 0
-                            ? "killed (signal " + std::to_string(sig) + ")"
-                            : "timed out (exit " +
-                                  std::to_string(exit_code) + ")")
-                    << "; retrying in " << backoff << "s\n";
-        }
-        pending.push_back(
-            {run.point, run.attempts,
-             Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                std::chrono::duration<double>(backoff))});
-      } else {
-        finalize(run,
-                 transient || run.hard_killed ? "timeout" : "failed",
-                 exit_code, sig);
-      }
-      continue;  // look for more finished children before sleeping
-    }
-
-    // Enforce hard deadlines on stragglers.
-    for (auto& [cpid, run] : running) {
-      if (!run.hard_killed && Clock::now() > run.hard_deadline) {
-        ::kill(cpid, SIGKILL);
-        run.hard_killed = true;
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  if (!options.daemon_socket.empty()) {
+    run_on_daemon(std::move(todo), options.daemon_socket, submit, finish);
+  } else {
+    const auto workers = static_cast<unsigned>(
+        std::clamp<std::uint64_t>(spec.run.concurrency, 1, to_run));
+    run_on_pool(std::move(todo), workers, options.verbose, submit, finish);
   }
   return summary;
 }

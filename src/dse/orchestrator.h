@@ -1,18 +1,11 @@
-// Sweep orchestrator: executes points through a pool of isolated child
-// sstsim processes.
-//
-//   * Each point runs in its own directory (<out>/points/p<id>/) with
-//     its materialized model.json, stats.json, and run.log — children
-//     never share files, so any concurrency level is safe.
-//   * The per-point timeout reuses the sstsim watchdog exit-code
-//     contract: the child gets --watchdog <timeout> and exits 3 with
-//     diagnostics; the orchestrator SIGKILLs only stragglers that
-//     outlive even that.
-//   * Transient outcomes (watchdog, signal death) are retried with
-//     doubling backoff up to run.retries times; deterministic failures
-//     (config/runtime/deadlock exits) are recorded immediately.
-//   * Final outcomes go to the crash-consistent ledger, so a killed
-//     driver resumes without re-running finished points.
+// Sweep orchestrator: runs every point on a daemon::Executor worker — a
+// pool this process forks, sized min(run.concurrency, points left), or a
+// running sstsimd's — so points get its timeout, retry and crash policy
+// (executor.h).  Each point has its own directory (<out>/points/p<id>/):
+// this process writes model.json just before dispatch, the worker writes
+// run.log (ending in sstsim's "done:" line) and publishes stats.json.
+// Final outcomes go to the crash-consistent ledger, so a killed driver
+// resumes without re-running finished points.
 #pragma once
 
 #include <cstdint>
@@ -26,15 +19,12 @@
 namespace sst::dse {
 
 struct OrchestratorOptions {
-  std::string sstsim_path;  // child simulator binary
+  std::string sstsim_path;  // ignored: points run on worker processes
   std::string out_dir;      // sweep output directory
   bool verbose = true;      // per-point progress lines on stderr
   /// When set, points are submitted to a running sstsimd daemon on this
-  /// socket instead of fork/exec'ing child sstsim processes: the daemon
-  /// parses the shared base model once (content-hash cache) and its
-  /// worker pool applies the per-point deadline/retry policy, so the
-  /// per-point dispatch overhead drops from a process spawn to a socket
-  /// round trip (EXPERIMENTS.md E18).
+  /// socket instead of a pool forked for the sweep; resuming after the
+  /// daemon recovered a kill -9 replays finished points from its ledger.
   std::string daemon_socket;
 };
 
@@ -45,9 +35,10 @@ struct OrchestratorSummary {
 };
 
 /// Runs every point not already completed in the ledger.  Points with a
-/// previous "failed"/"timeout" record are re-attempted.  Throws
-/// SweepError on orchestration-level problems (unspawnable children,
-/// unwritable point directories).
+/// previous "failed"/"timeout" record are re-attempted.  Every worker is
+/// reaped before it returns.  Throws SweepError on orchestration-level
+/// problems (unwritable point directories), daemon::DaemonError when the
+/// daemon is unreachable or refuses the sweep.
 OrchestratorSummary run_points(const SweepSpec& spec,
                                const std::vector<Point>& points,
                                const sdl::JsonValue& base_model,

@@ -1,9 +1,12 @@
 #include "dse/sweep_spec.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <set>
+
+#include "core/params.h"
 
 namespace sst::dse {
 
@@ -207,20 +210,26 @@ SweepSpec SweepSpec::from_json(const sdl::JsonValue& doc,
   if (doc.has("run")) {
     const sdl::JsonValue& jr = doc.at("run");
     RunPolicy& run = spec.run;
-    run.concurrency =
-        static_cast<unsigned>(jr.get_number("concurrency", run.concurrency));
-    if (run.concurrency == 0) {
-      throw SweepError("run.concurrency must be >= 1");
+    try {
+      auto count = [&jr](const char* key, unsigned& field, unsigned lo) {
+        if (jr.has(key)) {
+          field = static_cast<unsigned>(parse_count(
+              std::string("run.") + key, jr.at(key).dump(), lo, UINT32_MAX));
+        }
+      };
+      auto seconds = [&jr](const char* key, double& field) {
+        if (jr.has(key)) {
+          field = parse_seconds(std::string("run.") + key, jr.at(key).dump());
+        }
+      };
+      count("concurrency", run.concurrency, 1);
+      count("retries", run.retries, 0);
+      count("ranks", run.ranks, 0);
+      seconds("timeout_seconds", run.timeout_seconds);
+      seconds("backoff_seconds", run.backoff_seconds);
+    } catch (const ConfigError& e) {
+      throw SweepError(e.what());
     }
-    run.timeout_seconds =
-        jr.get_number("timeout_seconds", run.timeout_seconds);
-    if (run.timeout_seconds < 0) {
-      throw SweepError("run.timeout_seconds must be >= 0");
-    }
-    run.retries = static_cast<unsigned>(jr.get_number("retries", run.retries));
-    run.backoff_seconds =
-        jr.get_number("backoff_seconds", run.backoff_seconds);
-    run.ranks = static_cast<unsigned>(jr.get_number("ranks", 0));
     run.end_time = jr.get_string("end", "");
   }
   return spec;

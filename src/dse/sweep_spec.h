@@ -74,12 +74,12 @@ struct Objective {
 
 /// Execution policy for the orchestrator.
 struct RunPolicy {
-  unsigned concurrency = 2;      // parallel child sstsim processes
+  unsigned concurrency = 2;      // worker processes running points
   double timeout_seconds = 300;  // per-point watchdog budget (0 = none)
   unsigned retries = 2;          // extra attempts for transient failures
   double backoff_seconds = 0.5;  // initial retry backoff, doubling
-  unsigned ranks = 0;            // child --ranks override (0 = model's)
-  std::string end_time;          // child --end override ("" = model's)
+  unsigned ranks = 0;            // per-point rank count (0 = model's)
+  std::string end_time;          // per-point end time ("" = model's)
 };
 
 struct SweepSpec {

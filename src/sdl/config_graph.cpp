@@ -1,6 +1,7 @@
 #include "sdl/config_graph.h"
 
 #include <algorithm>
+#include <charconv>
 #include <set>
 #include <string_view>
 #include <utility>
@@ -95,6 +96,14 @@ const char* partition_name(PartitionStrategy strategy) {
     case PartitionStrategy::kMinCut: return "mincut";
   }
   return "?";
+}
+
+/// A JSON number as the text an override would carry: plain decimal,
+/// shortest round-trip digits.
+std::string number_text(double d) {
+  char buf[400];  // fits every finite double in fixed notation
+  return {buf, std::to_chars(buf, buf + sizeof buf, d,
+                             std::chars_format::fixed).ptr};
 }
 
 /// Reads a JSON object of scalar values into `out` as stringified params;
@@ -387,13 +396,16 @@ ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
     if (cfg.has("end_time")) {
       sc.end_time = UnitAlgebra(cfg.at("end_time").as_string()).to_simtime();
     }
-    sc.num_ranks =
-        static_cast<unsigned>(cfg.get_number("num_ranks", sc.num_ranks));
-    sc.seed = static_cast<std::uint64_t>(cfg.get_number("seed", 1));
-    sc.fault_seed = static_cast<std::uint64_t>(
-        cfg.get_number("fault_seed", static_cast<double>(sc.fault_seed)));
-    sc.watchdog_seconds =
-        cfg.get_number("watchdog_seconds", sc.watchdog_seconds);
+    // Numbers take the checked conversion an override of the same key
+    // takes, so "num_ranks": -1 fails as --override /config/num_ranks=-1.
+    for (const std::string_view key :
+         {"num_ranks", "seed", "fault_seed", "watchdog_seconds",
+          "rebalance_threshold", "rebalance_period", "rebalance_max_moves"}) {
+      if (cfg.has(key)) {
+        graph.apply_override("/config/" + std::string(key),
+                             number_text(cfg.at(key).as_number()));
+      }
+    }
     sc.detect_deadlock = cfg.get_bool("detect_deadlock", sc.detect_deadlock);
     sc.verbose = cfg.get_bool("verbose", false);
     sc.partition = partition_from_string(cfg.get_string("partition", "linear"));
@@ -402,12 +414,6 @@ ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
       sc.rebalance =
           rebalance_mode_from_string(cfg.at("rebalance_mode").as_string());
     }
-    sc.rebalance_threshold =
-        cfg.get_number("rebalance_threshold", sc.rebalance_threshold);
-    sc.rebalance_period = static_cast<std::uint64_t>(cfg.get_number(
-        "rebalance_period", static_cast<double>(sc.rebalance_period)));
-    sc.rebalance_max_moves = static_cast<std::uint32_t>(
-        cfg.get_number("rebalance_max_moves", sc.rebalance_max_moves));
   }
   if (doc.has("components")) {
     for (const auto& jc : doc.at("components").as_array()) {
@@ -429,31 +435,20 @@ ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
     ConfigNetwork& n = graph.network_;
     n.present = true;
     n.spec.kind = topology_kind(jn.at("topology").as_string());
-    n.spec.x = static_cast<std::uint32_t>(jn.get_number("x", n.spec.x));
-    n.spec.y = static_cast<std::uint32_t>(jn.get_number("y", n.spec.y));
-    n.spec.z = static_cast<std::uint32_t>(jn.get_number("z", n.spec.z));
-    n.spec.concentration = static_cast<std::uint32_t>(
-        jn.get_number("concentration", n.spec.concentration));
-    n.spec.leaves =
-        static_cast<std::uint32_t>(jn.get_number("leaves", n.spec.leaves));
-    n.spec.spines =
-        static_cast<std::uint32_t>(jn.get_number("spines", n.spec.spines));
-    n.spec.down =
-        static_cast<std::uint32_t>(jn.get_number("down", n.spec.down));
-    n.spec.groups =
-        static_cast<std::uint32_t>(jn.get_number("groups", n.spec.groups));
-    n.spec.group_routers = static_cast<std::uint32_t>(
-        jn.get_number("group_routers", n.spec.group_routers));
-    n.spec.group_conc = static_cast<std::uint32_t>(
-        jn.get_number("group_conc", n.spec.group_conc));
-    n.spec.global_per_router = static_cast<std::uint32_t>(
-        jn.get_number("global_per_router", n.spec.global_per_router));
+    // Router counts size the fabric: checked as their overrides are.
+    for (const std::string_view key :
+         {"x", "y", "z", "concentration", "leaves", "spines", "down",
+          "groups", "group_routers", "group_conc", "global_per_router",
+          "seed"}) {
+      if (jn.has(key)) {
+        graph.apply_override("/network/" + std::string(key),
+                             number_text(jn.at(key).as_number()));
+      }
+    }
     n.spec.link_bandwidth =
         jn.get_string("link_bandwidth", n.spec.link_bandwidth);
     n.spec.link_latency = jn.get_string("link_latency", n.spec.link_latency);
     n.spec.hop_latency = jn.get_string("hop_latency", n.spec.hop_latency);
-    n.spec.seed =
-        static_cast<std::uint64_t>(jn.get_number("seed", 1));
     const std::string routing = jn.get_string("routing", "minimal");
     if (routing == "minimal") {
       n.spec.routing = net::TopologySpec::Routing::kMinimal;

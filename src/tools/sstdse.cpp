@@ -1,14 +1,15 @@
-// sstdse — design-space exploration driver: run a parameter sweep of
-// sstsim processes, resume an interrupted one, and report the results.
+// sstdse — design-space exploration driver: run a parameter sweep,
+// resume an interrupted one, and report the results.
 //
-//   sstdse run <sweep.json> [--out DIR] [--jobs N] [--sstsim PATH] [-q]
-//   sstdse resume <sweep-dir> [--jobs N] [--sstsim PATH] [-q]
+//   sstdse run <sweep.json> [--out DIR] [--jobs N] [--daemon SOCKET] [-q]
+//   sstdse resume <sweep-dir> [--jobs N] [--daemon SOCKET] [-q]
 //   sstdse report <sweep-dir>
 //   sstdse points <sweep.json>      list the generated points and exit
 //
 // `run` creates (or resumes) the sweep directory; every point executes
-// as an isolated child sstsim with its own directory, watchdog timeout,
-// and bounded retries, and completions are recorded in a
+// on a crash-isolated worker process forked by this driver (or on a
+// running sstsimd's with --daemon) with its own directory, watchdog
+// timeout, and bounded retries, and completions are recorded in a
 // crash-consistent ledger — SIGKILL the driver at any moment and
 // `resume` continues without re-running finished points.
 //
@@ -16,26 +17,26 @@
 //   0  success (every point completed)
 //   2  usage or configuration error
 //   6  sweep finished with permanently failed points
-#include <unistd.h>
-
-#include <filesystem>
-#include <fstream>
+//   7  daemon error (--daemon socket unreachable or protocol failure)
+#include <cstdint>
 #include <iostream>
-#include <sstream>
 
+#include "core/params.h"
 #include "dse/driver.h"
 #include "dse/point_gen.h"
 #include "dse/sweep_spec.h"
+#include "mem/mem_lib.h"
+#include "net/net_lib.h"
+#include "proc/proc_lib.h"
+#include "vm/vm_lib.h"
 
 namespace {
 
 void print_options(std::ostream& os, const char* argv0) {
   os << "usage: " << argv0
-     << " run <sweep.json> [--out DIR] [--jobs N] [--sstsim PATH]"
-        " [--daemon SOCKET] [-q]\n"
+     << " run <sweep.json> [--out DIR] [--jobs N] [--daemon SOCKET] [-q]\n"
      << "       " << argv0
-     << " resume <sweep-dir> [--jobs N] [--sstsim PATH]"
-        " [--daemon SOCKET] [-q]\n"
+     << " resume <sweep-dir> [--jobs N] [--daemon SOCKET] [-q]\n"
      << "       " << argv0 << " report <sweep-dir>\n"
      << "       " << argv0 << " points <sweep.json>\n";
 }
@@ -56,15 +57,12 @@ int help(const char* argv0) {
       "  points   print the expanded point list and exit\n"
       "\nOptions:\n"
       "  --out DIR      sweep output directory (default <spec>.sweep)\n"
-      "  --jobs N       override the spec's run.concurrency\n"
-      "  --sstsim PATH  child simulator binary (default: sstsim next to\n"
-      "                 this executable, then PATH)\n"
-      "  --daemon SOCKET  submit points to the sstsimd daemon on this\n"
-      "                 unix socket instead of fork/exec'ing children;\n"
-      "                 the daemon's warm graph cache and worker pool\n"
-      "                 cut per-point dispatch overhead, and resuming\n"
-      "                 after a daemon restart replays completed\n"
-      "                 requests from its ledger\n"
+      "  --jobs N       override the spec's run.concurrency (the number\n"
+      "                 of worker processes this driver forks)\n"
+      "  --daemon SOCKET  run the points on the sstsimd daemon on this\n"
+      "                 unix socket instead of on forked workers;\n"
+      "                 resuming after a daemon restart replays\n"
+      "                 completed requests from its ledger\n"
       "  -q, --quiet    suppress per-point progress lines\n"
       "\nExit codes:\n"
       "  0  success (every point completed)\n"
@@ -75,34 +73,9 @@ int help(const char* argv0) {
   return 0;
 }
 
-/// Default child binary: "sstsim" in this executable's directory, else
-/// bare "sstsim" (resolved through PATH by execv's caller... which does
-/// not search PATH — so the sibling lookup is the one that matters for
-/// installed layouts).
-std::string default_sstsim_path() {
-  char buf[4096];
-  const ::ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    const std::filesystem::path sibling =
-        std::filesystem::path(buf).parent_path() / "sstsim";
-    if (std::filesystem::exists(sibling)) return sibling.string();
-  }
-  return "sstsim";
-}
-
 int list_points(const std::string& spec_path) {
   try {
-    std::ifstream in(spec_path);
-    if (!in) {
-      std::cerr << "cannot open " << spec_path << "\n";
-      return sst::dse::kSweepExitConfig;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const sst::dse::SweepSpec spec = sst::dse::SweepSpec::from_json_text(
-        buf.str(),
-        std::filesystem::path(spec_path).parent_path().string());
+    const sst::dse::SweepSpec spec = sst::dse::load_spec(spec_path);
     const auto points = sst::dse::generate_points(spec);
     std::cout << "sweep '" << spec.name << "': " << points.size()
               << " points (cross product " << spec.cross_size() << ")\n";
@@ -123,13 +96,18 @@ int list_points(const std::string& spec_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Points run on workers forked from this process.
+  sst::mem::register_library();
+  sst::proc::register_library();
+  sst::vm::register_library();
+  sst::net::register_library();
+
   if (argc < 2) return usage(argv[0]);
   const std::string cmd = argv[1];
   if (cmd == "--help" || cmd == "help") return help(argv[0]);
 
   std::string target;
   std::string out_dir;
-  std::string sstsim_path;
   std::string daemon_socket;
   unsigned jobs = 0;
   bool quiet = false;
@@ -150,11 +128,12 @@ int main(int argc, char** argv) {
       } else if (arg == "--jobs") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
-        jobs = static_cast<unsigned>(std::stoul(v));
+        jobs =
+            static_cast<unsigned>(sst::parse_count(arg, v, 1, UINT32_MAX));
       } else if (arg == "--sstsim") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        sstsim_path = v;
+        std::cerr << "--sstsim was removed: sweep points run on worker "
+                     "processes forked by sstdse, not on an sstsim binary\n";
+        return sst::dse::kSweepExitConfig;
       } else if (arg == "--daemon") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
@@ -169,8 +148,8 @@ int main(int argc, char** argv) {
       } else {
         return usage(argv[0]);
       }
-    } catch (const std::exception&) {
-      std::cerr << "bad value for " << arg << "\n";
+    } catch (const std::exception& e) {
+      std::cerr << "bad value: " << e.what() << "\n";
       return usage(argv[0]);
     }
   }
@@ -178,21 +157,19 @@ int main(int argc, char** argv) {
     std::cerr << cmd << " requires an argument\n";
     return usage(argv[0]);
   }
-  if (sstsim_path.empty()) sstsim_path = default_sstsim_path();
 
   if (cmd == "run") {
     sst::dse::DriverOptions opts;
     opts.spec_path = target;
     opts.out_dir = out_dir;
-    opts.sstsim_path = sstsim_path;
     opts.jobs = jobs;
     opts.quiet = quiet;
     opts.daemon_socket = daemon_socket;
     return sst::dse::run_sweep(opts, std::cout, std::cerr);
   }
   if (cmd == "resume") {
-    return sst::dse::resume_sweep(target, sstsim_path, jobs, quiet,
-                                  std::cout, std::cerr, daemon_socket);
+    return sst::dse::resume_sweep(target, jobs, quiet, std::cout, std::cerr,
+                                  daemon_socket);
   }
   if (cmd == "report") {
     return sst::dse::report_sweep(target, std::cout, std::cerr);

@@ -28,7 +28,7 @@
 //                        (replaces <system.json>; outputs byte-identical
 //                        to the uninterrupted run)
 //   --sweep <spec.json>  run a design-space sweep (shorthand for sstdse
-//                        run; children are this same binary)
+//                        run; points run on forked worker processes)
 //   --sweep-out <dir>    sweep output directory (default <spec>.sweep)
 //   --jobs <n>           sweep worker concurrency override
 //   --daemon <socket>    submit the model to the sstsimd daemon on this
@@ -54,14 +54,13 @@
 //   6  sweep failed (one or more points failed permanently)
 //   7  daemon error (sstsimd unreachable, rejected the request, or a
 //      protocol failure; reserved for daemon-side faults)
-#include <unistd.h>
-
+#include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 
+#include "core/params.h"
 #include "ckpt/checkpoint.h"
 #include "daemon/client.h"
 #include "dse/driver.h"
@@ -145,10 +144,10 @@ int help(const char* argv0) {
       "(default 8)\n"
       "  --rebalance-max-moves N    component moves per pass (default 8)\n"
       "\nDesign-space sweeps:\n"
-      "  --sweep SPEC               run the sweep described by SPEC: one\n"
-      "                             child process per point, a crash-\n"
-      "                             consistent ledger, and a Pareto report\n"
-      "                             (equivalent to: sstdse run SPEC)\n"
+      "  --sweep SPEC               run the sweep described by SPEC on a\n"
+      "                             pool of forked worker processes, with\n"
+      "                             a crash-consistent ledger and a Pareto\n"
+      "                             report (equivalent to: sstdse run SPEC)\n"
       "  --sweep-out DIR            sweep output directory\n"
       "                             (default <spec stem>.sweep)\n"
       "  --jobs N                   sweep worker concurrency override\n"
@@ -197,17 +196,6 @@ void list_components(std::ostream& os) {
       os << "\n";
     }
   }
-}
-
-/// The sweep shorthand spawns children that are this same binary.
-std::string self_path(const char* argv0) {
-  char buf[4096];
-  const ::ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return std::string(buf);
-  }
-  return std::string(argv0);
 }
 
 /// Resolves the stats output format: explicit flag/config wins, then the
@@ -330,7 +318,8 @@ int main(int argc, char** argv) {
       } else if (arg == "--ranks") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
-        ranks = static_cast<unsigned>(std::stoul(v));
+        ranks =
+            static_cast<unsigned>(sst::parse_count(arg, v, 1, UINT32_MAX));
       } else if (arg == "--end") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
@@ -338,11 +327,11 @@ int main(int argc, char** argv) {
       } else if (arg == "--seed") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
-        seed = std::stoull(v);
+        seed = sst::parse_count(arg, v, 0, UINT64_MAX);
       } else if (arg == "--fault-seed") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
-        fault_seed = std::stoull(v);
+        fault_seed = sst::parse_count(arg, v, 0, UINT64_MAX);
       } else if (arg == "--override") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
@@ -378,7 +367,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--watchdog") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
-        watchdog = std::stod(v);
+        watchdog = sst::parse_seconds(arg, v);
       } else if (arg == "--restart") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
@@ -390,7 +379,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--checkpoint-wall") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
-        ckpt_wall = std::stod(v);
+        ckpt_wall = sst::parse_seconds(arg, v);
       } else if (arg == "--checkpoint-dir") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
@@ -398,7 +387,8 @@ int main(int argc, char** argv) {
       } else if (arg == "--checkpoint-keep") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
-        ckpt_keep = static_cast<unsigned>(std::stoul(v));
+        ckpt_keep =
+            static_cast<unsigned>(sst::parse_count(arg, v, 0, UINT32_MAX));
       } else if (arg == "--sweep") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
@@ -410,7 +400,8 @@ int main(int argc, char** argv) {
       } else if (arg == "--jobs") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
-        sweep_jobs = static_cast<unsigned>(std::stoul(v));
+        sweep_jobs =
+            static_cast<unsigned>(sst::parse_count(arg, v, 1, UINT32_MAX));
       } else if (arg == "--daemon") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
@@ -431,8 +422,8 @@ int main(int argc, char** argv) {
       } else {
         return usage(argv[0]);
       }
-    } catch (const std::exception&) {
-      std::cerr << "bad value for " << arg << "\n";
+    } catch (const std::exception& e) {
+      std::cerr << "bad value: " << e.what() << "\n";
       return usage(argv[0]);
     }
   }
@@ -506,14 +497,13 @@ int main(int argc, char** argv) {
   }
   if (!sweep_path.empty()) {
     if (!input.empty() || !restart_path.empty()) {
-      std::cerr << "--sweep runs a batch of child simulations; drop the "
+      std::cerr << "--sweep runs a batch of simulations; drop the "
                    "<system.json> / --restart arguments\n";
       return kExitConfig;
     }
     sst::dse::DriverOptions opts;
     opts.spec_path = sweep_path;
     opts.out_dir = sweep_out;
-    opts.sstsim_path = self_path(argv[0]);
     opts.jobs = sweep_jobs;
     return sst::dse::run_sweep(opts, std::cout, std::cerr);
   }
@@ -656,11 +646,7 @@ int main(int argc, char** argv) {
                                 restarting ? ckpt_data.seq : 0);
     }
     const sst::RunStats stats = sim->run();
-    std::cerr << "done: t=" << stats.final_time << " ps, "
-              << stats.events_processed << " events, "
-              << stats.wall_seconds << " s wall ("
-              << static_cast<std::uint64_t>(stats.events_per_second())
-              << " events/s)\n";
+    sst::print_done_line(std::cerr, stats);
     if (!sc.trace_path.empty()) {
       std::cerr << "trace written to " << sc.trace_path << "\n";
     }

@@ -31,9 +31,11 @@
 //   0  clean drain (SIGTERM/SIGINT/--drain)
 //   2  usage error
 //   7  daemon error (socket in use or unreachable, unusable state dir)
+#include <cstdint>
 #include <iostream>
 #include <string>
 
+#include "core/params.h"
 #include "daemon/client.h"
 #include "daemon/daemon.h"
 #include "mem/mem_lib.h"
@@ -125,15 +127,16 @@ int main(int argc, char** argv) {
       } else if (arg == "--workers") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
-        options.workers = static_cast<unsigned>(std::stoul(v));
+        options.workers =
+            static_cast<unsigned>(sst::parse_count(arg, v, 1, UINT32_MAX));
       } else if (arg == "--queue") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
-        options.queue_capacity = std::stoul(v);
+        options.queue_capacity = sst::parse_count(arg, v, 1, SIZE_MAX);
       } else if (arg == "--cache") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
-        options.cache_capacity = std::stoul(v);
+        options.cache_capacity = sst::parse_count(arg, v, 1, SIZE_MAX);
       } else if (arg == "--verbose") {
         options.verbose = true;
       } else if (arg == "--status") {
@@ -144,8 +147,8 @@ int main(int argc, char** argv) {
         std::cerr << "unknown option " << arg << "\n";
         return usage(argv[0]);
       }
-    } catch (const std::exception&) {
-      std::cerr << "bad value for " << arg << "\n";
+    } catch (const std::exception& e) {
+      std::cerr << "bad value: " << e.what() << "\n";
       return usage(argv[0]);
     }
   }

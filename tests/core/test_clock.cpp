@@ -143,5 +143,17 @@ TEST(Clock, DifferentPeriodsInterleave) {
   EXPECT_EQ(s->ticks, 3u);  // 4,8,12 ns edges
 }
 
+// A clock that never goes idle allocates its tick event exactly once and
+// recycles it for every later cycle.
+TEST(Clock, TickPoolAllocatesOnce) {
+  Simulation sim;
+  Params p;
+  sim.add_component<Ticker>("tick", p);
+  const RunStats stats = sim.run();
+  EXPECT_EQ(stats.pool_allocs, 1u);
+  EXPECT_GT(stats.pool_recycles, 0u);
+  EXPECT_EQ(stats.pool_allocs + stats.pool_recycles, stats.clock_ticks);
+}
+
 }  // namespace
 }  // namespace sst

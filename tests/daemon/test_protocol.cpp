@@ -88,6 +88,23 @@ TEST(Daemon, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)parse_worker_reply("{\"id\":"), DaemonError);
 }
 
+TEST(Daemon, RunOpRejectsBadCountsAndBudgets) {
+  const std::string head =
+      R"({"op":"run","model":"{}","out":"/tmp/x",)";
+  for (const char* bad :
+       {R"("retries":-3})", R"("retries":1.5})", R"("ranks":-1})",
+        R"("backoff":-5})", R"("timeout":-1})", R"("timeout":"1h"})"}) {
+    try {
+      (void)parse_client_message(head + bad);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const DaemonError& e) {
+      const std::string key(bad + 1, std::string(bad).find('"', 1) - 1);
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Daemon, StatusAndDrainOpsParse) {
   EXPECT_EQ(parse_client_message("{\"op\":\"status\"}").op,
             ClientMessage::Op::kStatus);

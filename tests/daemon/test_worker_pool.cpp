@@ -1,16 +1,17 @@
 // WorkerPool: pre-forked isolation boundary.  Pins the crash contract:
-// a worker that dies takes only its request with it, is diagnosed from
-// its wait status, and is respawned; healthy workers answer jobs
-// in-band and drain cleanly on EOF.
+// a worker that dies takes only its request with it, closes its socket,
+// is diagnosed from its wait status, and is respawned; healthy workers
+// answer jobs in-band, write run.log, and drain cleanly on EOF.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <csignal>
 #include <filesystem>
+#include <fstream>
 #include <string>
-#include <thread>
 
 #include "daemon/graph_cache.h"
 #include "daemon/worker_pool.h"
@@ -62,17 +63,20 @@ WorkerReply await_reply(WorkerPool& pool, int slot) {
   return parse_worker_reply(line);
 }
 
-// Reaps with a timeout: the child's death is asynchronous.
-std::vector<WorkerExit> await_exits(WorkerPool& pool) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (std::chrono::steady_clock::now() < deadline) {
-    auto exits = pool.reap_and_respawn();
-    if (!exits.empty()) return exits;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+// Waits (at most 10s) for the worker on `slot` to close its socket, the
+// way the executor sees a death, then reaps it.
+WorkerExit await_exit(WorkerPool& pool, int slot) {
+  pollfd pfd{pool.fd(slot), POLLIN, 0};
+  char buf[4096];
+  for (;;) {
+    if (::poll(&pfd, 1, 10000) <= 0) {
+      ADD_FAILURE() << "no worker exit observed within 10s";
+      ::kill(pool.pid(slot), SIGKILL);
+      break;
+    }
+    if (::read(pool.fd(slot), buf, sizeof buf) <= 0) break;
   }
-  ADD_FAILURE() << "no worker exit observed within 10s";
-  return {};
+  return pool.reap(slot);
 }
 
 class WorkerPoolTest : public ::testing::Test {
@@ -120,6 +124,10 @@ TEST_F(WorkerPoolTest, HealthyJobRunsAndPublishesStats) {
   EXPECT_EQ(reply.exit_code, 0);
   EXPECT_GT(reply.events, 0u);
   EXPECT_TRUE(fs::exists(fs::path(out) / "stats.json"));
+  std::ifstream log(fs::path(out) / "run.log");
+  const std::string text((std::istreambuf_iterator<char>(log)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("done: t="), std::string::npos) << text;
   pool.mark_idle(0);
   EXPECT_EQ(pool.busy_count(), 0u);
   pool.shutdown();
@@ -150,14 +158,13 @@ TEST_F(WorkerPoolTest, CrashingWorkerIsDiagnosedAndRespawned) {
   const RunRequest req = job("boom", (dir_ / "boom").string(), SIGSEGV);
   ASSERT_TRUE(pool.dispatch(0, worker_job_to_line(req, 0), req.id,
                             std::chrono::steady_clock::time_point::max()));
-  const auto exits = await_exits(pool);
-  ASSERT_EQ(exits.size(), 1u);
-  EXPECT_EQ(exits[0].slot, 0);
-  EXPECT_EQ(exits[0].pid, crashed_pid);
-  EXPECT_EQ(exits[0].term_signal, SIGSEGV);
-  EXPECT_TRUE(exits[0].was_busy);
-  EXPECT_EQ(exits[0].request_id, "boom");
-  EXPECT_FALSE(exits[0].hard_killed);
+  const WorkerExit ex = await_exit(pool, 0);
+  EXPECT_EQ(ex.slot, 0);
+  EXPECT_EQ(ex.pid, crashed_pid);
+  EXPECT_EQ(ex.term_signal, SIGSEGV);
+  EXPECT_TRUE(ex.was_busy);
+  EXPECT_EQ(ex.request_id, "boom");
+  EXPECT_FALSE(ex.hard_killed);
   // The slot is already serving again with a fresh process.
   EXPECT_EQ(pool.restarts(), 1u);
   ASSERT_TRUE(pool.alive(0));
@@ -181,11 +188,10 @@ TEST_F(WorkerPoolTest, HardKillIsReportedAsSuch) {
   // busy but we only send half a line, so the worker sits in read().
   pool.dispatch(0, "", "stuck", std::chrono::steady_clock::time_point::max());
   pool.kill_slot(0);  // the deadline backstop
-  const auto exits = await_exits(pool);
-  ASSERT_EQ(exits.size(), 1u);
-  EXPECT_EQ(exits[0].term_signal, SIGKILL);
-  EXPECT_TRUE(exits[0].hard_killed);
-  EXPECT_EQ(exits[0].request_id, "stuck");
+  const WorkerExit ex = await_exit(pool, 0);
+  EXPECT_EQ(ex.term_signal, SIGKILL);
+  EXPECT_TRUE(ex.hard_killed);
+  EXPECT_EQ(ex.request_id, "stuck");
   EXPECT_EQ(pool.restarts(), 1u);
   pool.shutdown();
 }

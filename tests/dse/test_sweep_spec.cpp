@@ -185,6 +185,60 @@ TEST(SweepSpecErrors, ConcurrencyMustBePositive) {
   })", ""), SweepError);
 }
 
+/// The one-axis spec with `run` as its run section.
+SweepSpec with_run(const std::string& run) {
+  return SweepSpec::from_json_text(
+      R"({"model": "m.json", "axes": [{"path": "/network/x", "values": [1]}],
+          "run": )" + run + "}",
+      "");
+}
+
+TEST(SweepSpecErrors, RunCountsMustBeWholeAndInRange) {
+  for (const auto& [run, key] : std::vector<std::pair<std::string, std::string>>{
+           {R"({"concurrency": -1})", "run.concurrency"},
+           {R"({"concurrency": 1e12})", "run.concurrency"},
+           {R"({"concurrency": 2.5})", "run.concurrency"},
+           {R"({"retries": -3})", "run.retries"},
+           {R"({"retries": 0.5})", "run.retries"},
+           {R"({"ranks": -1})", "run.ranks"},
+           {R"({"ranks": 4294967296})", "run.ranks"}}) {
+    try {
+      (void)with_run(run);
+      ADD_FAILURE() << "accepted " << run;
+    } catch (const SweepError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(SweepSpecErrors, RunSecondsMustBeFiniteAndNonNegative) {
+  for (const auto& [run, key] : std::vector<std::pair<std::string, std::string>>{
+           {R"({"timeout_seconds": -1})", "run.timeout_seconds"},
+           {R"({"timeout_seconds": "1h"})", "run.timeout_seconds"},
+           {R"({"backoff_seconds": -5})", "run.backoff_seconds"},
+           {R"({"backoff_seconds": "soon"})", "run.backoff_seconds"}}) {
+    try {
+      (void)with_run(run);
+      ADD_FAILURE() << "accepted " << run;
+    } catch (const SweepError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(SweepSpec, RunPolicyAcceptsItsBounds) {
+  const SweepSpec spec = with_run(
+      R"({"concurrency": 4294967295, "retries": 0, "ranks": 0,
+          "timeout_seconds": 0, "backoff_seconds": 0})");
+  EXPECT_EQ(spec.run.concurrency, 4294967295u);
+  EXPECT_EQ(spec.run.retries, 0u);
+  EXPECT_EQ(spec.run.ranks, 0u);
+  EXPECT_EQ(spec.run.timeout_seconds, 0.0);
+  EXPECT_EQ(spec.run.backoff_seconds, 0.0);
+}
+
 SweepSpec three_by_three() {
   return SweepSpec::from_json_text(R"({
     "model": "m.json",

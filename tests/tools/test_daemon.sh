@@ -14,7 +14,9 @@
 #      restarts, recovers them from its ledger, and completes every one
 #      exactly once (one final record per id, stats present).
 #   6. A 2x2 sweep dispatched through the daemon produces a results
-#      table byte-identical to the fork/exec sweep.
+#      table byte-identical to the in-process sweep, and every point
+#      directory holds model.json, stats.json and a run.log with
+#      sstsim's "done:" line.
 #   7. `--drain` finishes accepted work and stops the daemon; the
 #      socket is released.
 #
@@ -219,7 +221,7 @@ check "recovered result identical to direct run" \
   cmp -s "$WORK/direct/stats.json" "$WORK/rec0/stats.json"
 stop_daemon
 
-# ---- 6: daemon sweep matches the fork/exec sweep ---------------------
+# ---- 6: daemon sweep matches the in-process sweep --------------------
 cat > "$WORK/sweep.json" <<EOF
 {
   "name": "dsmoke",
@@ -231,13 +233,21 @@ cat > "$WORK/sweep.json" <<EOF
   ]
 }
 EOF
-run "sweep-forkexec" "$SSTDSE" run "$WORK/sweep.json" \
-    --out "$WORK/sw_direct" --sstsim "$SSTSIM" --jobs 2
+run "sweep-inprocess" "$SSTDSE" run "$WORK/sweep.json" \
+    --out "$WORK/sw_direct" --jobs 2
 start_daemon "$WORK/sw.sock" --workers 2
 run "sweep-daemon" "$SSTDSE" run "$WORK/sweep.json" \
-    --out "$WORK/sw_daemon" --sstsim "$SSTSIM" --daemon "$WORK/sw.sock"
-check "daemon sweep results byte-identical to fork/exec sweep" \
+    --out "$WORK/sw_daemon" --daemon "$WORK/sw.sock"
+check "daemon sweep results byte-identical to in-process sweep" \
   cmp -s "$WORK/sw_direct/results.csv" "$WORK/sw_daemon/results.csv"
+for sweep in sw_direct sw_daemon; do
+  for dir in "$WORK/$sweep"/points/p*; do
+    check "$sweep/$(basename "$dir") holds model.json, stats.json, run.log" \
+      test -f "$dir/model.json" -a -f "$dir/stats.json" -a -f "$dir/run.log"
+    check "$sweep/$(basename "$dir")/run.log has the done: line" \
+      grep -q "^done: t=" "$dir/run.log"
+  done
+done
 
 # ---- 7: drain stops the daemon and releases the socket ---------------
 run "drain" "$SSTSIMD" --socket "$WORK/sw.sock" --drain

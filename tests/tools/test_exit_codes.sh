@@ -3,12 +3,15 @@
 #   0 success, 1 runtime failure, 2 usage/config error,
 #   3 watchdog abort, 4 deadlock detected, 5 restart failed,
 #   7 daemon error.
+# plus the usage errors (2) of sstdse and sstsimd.
 #
-#   test_exit_codes.sh <sstsim> <models_dir>
+#   test_exit_codes.sh <sstsim> <models_dir> <sstdse> <sstsimd>
 set -u
 
-SSTSIM="${1:?usage: test_exit_codes.sh <sstsim> <models_dir>}"
+SSTSIM="${1:?usage: test_exit_codes.sh <sstsim> <models_dir> <sstdse> <sstsimd>}"
 MODELS="${2:?missing models dir}"
+SSTDSE="${3:?missing sstdse path}"
+SSTSIMD="${4:?missing sstsimd path}"
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -118,6 +121,62 @@ expect 2 "nan bandwidth"   "$SSTSIM" "$MODELS/vm_storm.json" \
 expect 2 "inf bandwidth"   "$SSTSIM" "$MODELS/vm_storm.json" \
                            --override /components/mc/params/backend=simple \
                            --override /components/mc/params/bandwidth_gbs=inf
+
+# Counts that size worker pools and rank vectors, and wall-clock
+# budgets: negative, garbage, non-finite or out-of-range values are
+# usage/config errors (2) whose message names the flag or key, raised
+# before anything is allocated or forked.
+# names <label> <text>: the last expect's stderr contains <text>.
+names() {
+  if ! grep -q -e "$2" "$WORK/err"; then
+    echo "exit_codes: $1: message does not name '$2':" >&2
+    sed 's/^/  | /' "$WORK/err" >&2
+    fail=1
+  fi
+}
+# sweep_with_run <name> <run members>: a one-point pingpong sweep spec.
+sweep_with_run() {
+  printf '%s\n' "{\"name\": \"$1\", \"model\": \"$MODELS/pingpong.json\"," \
+    ' "axes": [{"path": "/components/rank0/params/msg_bytes", "values": [64]}],' \
+    " \"run\": {$2}}" > "$WORK/$1.json"
+}
+sweep_with_run conc_neg '"concurrency": -1'
+expect 2 "run.concurrency -1" "$SSTDSE" run "$WORK/conc_neg.json" \
+                           --out "$WORK/conc_neg.sweep"
+names "run.concurrency -1" "run.concurrency"
+sweep_with_run conc_big '"concurrency": 1e12'
+expect 2 "run.concurrency 1e12" "$SSTDSE" run "$WORK/conc_big.json" \
+                           --out "$WORK/conc_big.sweep"
+names "run.concurrency 1e12" "run.concurrency"
+sweep_with_run retries_neg '"retries": -3'
+expect 2 "run.retries -3"  "$SSTDSE" run "$WORK/retries_neg.json" \
+                           --out "$WORK/retries_neg.sweep"
+names "run.retries -3" "run.retries"
+sweep_with_run backoff_neg '"backoff_seconds": -5'
+expect 2 "run.backoff_seconds -5" "$SSTDSE" run "$WORK/backoff_neg.json" \
+                           --out "$WORK/backoff_neg.sweep"
+names "run.backoff_seconds -5" "run.backoff_seconds"
+sweep_with_run ok_run '"concurrency": 1'
+expect 2 "sstdse --jobs -1" "$SSTDSE" run "$WORK/ok_run.json" \
+                           --out "$WORK/jobs.sweep" --jobs -1
+names "sstdse --jobs -1" "--jobs"
+expect 2 "sstdse --sstsim" "$SSTDSE" run "$WORK/ok_run.json" \
+                           --out "$WORK/sstsim.sweep" --sstsim "$SSTSIM"
+removed "sstdse --sstsim"
+expect 2 "sstsimd --workers -1" "$SSTSIMD" --socket "$WORK/w.sock" \
+                           --workers -1
+names "sstsimd --workers -1" "--workers"
+expect 2 "--ranks -1"      "$SSTSIM" "$MODELS/pingpong.json" --ranks -1
+names "--ranks -1" "--ranks"
+with_config ranks_neg '"num_ranks": -1'
+expect 2 "sdl num_ranks -1" "$SSTSIM" "$WORK/ranks_neg.json"
+names "sdl num_ranks -1" "num_ranks"
+expect 2 "--ranks 3abc"    "$SSTSIM" "$MODELS/pingpong.json" --ranks 3abc
+names "--ranks 3abc" "--ranks"
+expect 2 "--watchdog nan"  "$SSTSIM" "$MODELS/pingpong.json" --watchdog nan
+names "--watchdog nan" "--watchdog"
+expect 2 "--watchdog -5"   "$SSTSIM" "$MODELS/pingpong.json" --watchdog -5
+names "--watchdog -5" "--watchdog"
 
 if [ "$fail" -ne 0 ]; then exit 1; fi
 echo "exit_codes: all codes as documented"

@@ -69,8 +69,7 @@ cat > "$WORK/sweep.json" <<EOF
 EOF
 
 # --- 1: full run ------------------------------------------------------
-run full "$SSTDSE" run "$WORK/sweep.json" --out "$WORK/full.sweep" \
-    --sstsim "$SSTSIM"
+run full "$SSTDSE" run "$WORK/sweep.json" --out "$WORK/full.sweep"
 check "full run produced a results table" test -f "$WORK/full.sweep/results.csv"
 check "full run reports a Pareto frontier" \
     grep -q "Pareto frontier" "$WORK/full.out"
@@ -81,16 +80,16 @@ check "every point finished ok" \
 
 # --- 2: results table identical at any concurrency --------------------
 run serial "$SSTDSE" run "$WORK/sweep.json" --out "$WORK/serial.sweep" \
-    --sstsim "$SSTSIM" --jobs 1 -q
+    --jobs 1 -q
 check "concurrency 1 table identical to concurrency 2" \
     cmp -s "$WORK/full.sweep/results.csv" "$WORK/serial.sweep/results.csv"
 
 # --- 3: SIGKILL mid-flight, resume from the ledger --------------------
 setsid "$SSTDSE" run "$WORK/sweep.json" --out "$WORK/kill.sweep" \
-    --sstsim "$SSTSIM" --jobs 1 -q > /dev/null 2>&1 &
+    --jobs 1 -q > /dev/null 2>&1 &
 victim=$!
 # Busy-wait until the ledger records at least one finished point, then
-# SIGKILL the whole process group (driver AND in-flight child).
+# SIGKILL the whole process group (driver AND its worker).
 tries=0
 while true; do
   n="$(grep -c '"status":"ok"' "$WORK/kill.sweep/ledger.jsonl" 2>/dev/null)" \
@@ -110,7 +109,7 @@ if [ "$done_n" -ge 4 ]; then
 fi
 check "kill left a ledger with at least one finished point" \
     test "$done_n" -ge 1
-run resume "$SSTDSE" resume "$WORK/kill.sweep" --sstsim "$SSTSIM"
+run resume "$SSTDSE" resume "$WORK/kill.sweep"
 check "resume skipped the already-finished points" \
     sh -c "test \"$done_n\" -ge 4 || grep -q 'resuming' '$WORK/resume.err'"
 check "resumed table byte-identical to uninterrupted run" \
@@ -133,7 +132,7 @@ cat > "$WORK/bad.json" <<EOF
 }
 EOF
 "$SSTDSE" run "$WORK/bad.json" --out "$WORK/bad.sweep" \
-    --sstsim "$SSTSIM" > /dev/null 2> "$WORK/bad.err"
+    > /dev/null 2> "$WORK/bad.err"
 rc=$?
 check "bad axis path exits 2" test "$rc" -eq 2
 check "bad-spec diagnostic names the path rule" \
@@ -152,7 +151,7 @@ cat > "$WORK/failing.json" <<EOF
 }
 EOF
 "$SSTDSE" run "$WORK/failing.json" --out "$WORK/failing.sweep" \
-    --sstsim "$SSTSIM" -q > /dev/null 2>&1
+    -q > /dev/null 2>&1
 rc=$?
 check "permanently failing point exits 6" test "$rc" -eq 6
 check "failed point marked in the table" \
