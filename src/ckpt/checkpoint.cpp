@@ -390,10 +390,12 @@ void CheckpointEngine::restore(Simulation& sim,
   std::vector<StagedRank> staged(sim.ranks_.size());
   for (std::size_t r = 0; r < sim.ranks_.size(); ++r) {
     Simulation::RankState& rank = sim.ranks_[r];
-    // The rebuild's initial events (first clock ticks, setup sends) are
-    // replaced wholesale by the checkpointed queues.
+    // The rebuild's initial events (first clock ticks, setup sends still
+    // staged in the outboxes) are replaced wholesale by the checkpointed
+    // queues.
     rank.vortex.clear();
     rank.mailbox.clear();
+    for (auto& out : rank.outbox) out.clear();
     s & rank.now & rank.events & rank.mailbox_received &
         rank.barrier_wait_seconds;
     std::uint64_t n = 0;

@@ -57,7 +57,7 @@ struct CheckpointData {
 class CheckpointEngine {
  public:
   /// Serializes the full dynamic state of `sim` (which must be at a safe
-  /// point: between events, or inside the sync-window barrier).  Throws
+  /// point: inside the window barrier, as the engine calls writers).  Throws
   /// CheckpointError when a pending event's type is not registered for
   /// checkpointing.
   [[nodiscard]] static std::vector<std::byte> capture(Simulation& sim);

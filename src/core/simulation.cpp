@@ -36,6 +36,7 @@ constexpr unsigned kMaxInitPhases = 64;
 Simulation::Simulation(SimConfig config) : config_(config) {
   if (config_.num_ranks == 0) throw ConfigError("num_ranks must be >= 1");
   ranks_ = std::vector<RankState>(config_.num_ranks);
+  for (auto& r : ranks_) r.outbox.resize(config_.num_ranks);
 }
 
 Simulation::~Simulation() {
@@ -479,10 +480,9 @@ void Simulation::wire_links() {
 
 void Simulation::refresh_partition() {
   // Everything derived from component ranks: link endpoint ranks, the
-  // lookahead (global and per sending rank) and the cut-link count.
-  // Called from wire_links at initialization, after checkpoint restore,
-  // and at a sync barrier after migrations moved components.
-  lookahead_ = kTimeNever;
+  // lookahead per sending rank and the cut-link count.  Called from
+  // wire_links at initialization, after checkpoint restore, and at a
+  // sync barrier after migrations moved components.
   cut_links_ = 0;
   rank_min_out_.assign(config_.num_ranks, kTimeNever);
   for (const auto& link : links_) {
@@ -491,16 +491,10 @@ void Simulation::refresh_partition() {
     link->peer_rank_ = components_[link->peer_->owner_]->rank_;
     if (link->owner_rank_ != link->peer_rank_) {
       ++cut_links_;
-      lookahead_ = std::min(lookahead_, link->latency_);
       rank_min_out_[link->owner_rank_] =
           std::min(rank_min_out_[link->owner_rank_], link->latency_);
     }
   }
-  if (config_.num_ranks > 1 && lookahead_ == kTimeNever) {
-    // Independent partitions: bound windows so termination votes happen.
-    lookahead_ = kMaxSyncWindow;
-  }
-  lookahead_ = std::min(lookahead_, kMaxSyncWindow);
 }
 
 void Simulation::register_component_clock(ComponentId comp, SimTime period,
@@ -543,18 +537,6 @@ void Simulation::initialize() {
     rebalance_ctl_ =
         std::make_unique<RebalanceController>(rc, config_.num_ranks);
     comp_epoch_events_.assign(components_.size(), 0);
-  }
-  // Parallel checkpoints are cut at sync-window barriers, so a period
-  // shorter than the window cannot be honoured — it would silently snap
-  // to the barrier cadence.  Reject it with both values spelled out.
-  if (config_.num_ranks > 1 && config_.checkpoint_period > 0 &&
-      config_.checkpoint_period < lookahead_) {
-    throw ConfigError(
-        "checkpointing: period " + std::to_string(config_.checkpoint_period) +
-        "ps is shorter than the parallel sync window (lookahead) of " +
-        std::to_string(lookahead_) +
-        "ps; checkpoints are cut at sync-window barriers, so use a period "
-        ">= the sync window (or run with --ranks 1)");
   }
   // Now that ranks are known, create clocks registered during build.
   for (auto& pc : pending_clocks_) {
@@ -714,11 +696,7 @@ RunStats Simulation::run() {
   const auto wall_start = std::chrono::steady_clock::now();
   ckpt_last_wall_ = wall_start;
   try {
-    if (config_.num_ranks == 1) {
-      run_serial();
-    } else {
-      run_parallel();
-    }
+    run_windows();
   } catch (...) {
     stop_watchdog();
     state_ = State::kDone;
@@ -773,7 +751,9 @@ RunStats Simulation::run() {
   run_stats_.exchange_flushes = 0;
   for (const auto& r : ranks_) run_stats_.exchange_flushes += r.outbox_flushes;
   run_stats_.cut_links = cut_links_;
-  run_stats_.lookahead = config_.num_ranks > 1 ? lookahead_ : 0;
+  run_stats_.lookahead = std::min(
+      *std::min_element(rank_min_out_.begin(), rank_min_out_.end()),
+      kMaxSyncWindow);
   run_stats_.rebalances = rebalances_;
   run_stats_.components_migrated = comps_migrated_;
   run_stats_.checkpoints = ckpt_taken_;
@@ -796,50 +776,13 @@ RunStats Simulation::run() {
   return run_stats_;
 }
 
-void Simulation::run_serial() {
-  RankState& rank = ranks_[0];
-  const SimTime end = config_.end_time;
-  const bool ckpt = checkpointing();
-  std::uint64_t steps = 0;
-  while (!rank.vortex.empty()) {
-    if (primaries_done()) break;
-    if ((++steps & kEnginePollMask) == 0 &&
-        watchdog_fired_.load(std::memory_order_relaxed)) {
-      return;
-    }
-    const SimTime t = rank.vortex.next_time();
-    if (t > end) {
-      rank.now = end;
-      return;
-    }
-    // Safe point: the checkpoint lands between two events, with the
-    // pending one still in the vortex.  The wall-clock trigger is only
-    // polled every kEnginePollInterval events to keep it off the hot
-    // path.
-    if (ckpt && checkpoint_due(t, (steps & kEnginePollMask) == 0)) {
-      take_checkpoint();
-    }
-    EventPtr ev = rank.vortex.pop();
-    rank.now = t;
-    ++rank.events;
-    if (tracer_ && ev->link_id_ < Event::kClockSourceBase) {
-      tracer_->record_delivery(0, t, ev->link_id_, ev->order_);
-    }
-    const EventHandler* handler = ev->handler_;
-    if (handler == nullptr) {
-      throw SimulationError("event with no handler in queue");
-    }
-    (*handler)(std::move(ev));
-  }
-}
-
-void Simulation::rank_process_until(RankId me, SimTime horizon) {
+void Simulation::rank_process_until(RankId me) {
   RankState& rank = ranks_[me];
   std::uint64_t steps = 0;
   const bool account = rebalance_accounting_;
   while (!rank.vortex.empty()) {
     const SimTime t = rank.vortex.next_time();
-    if (t >= horizon) return;
+    if (t >= horizon_) return;
     if ((++steps & kEnginePollMask) == 0 &&
         watchdog_fired_.load(std::memory_order_relaxed)) {
       return;
@@ -863,16 +806,17 @@ void Simulation::rank_process_until(RankId me, SimTime horizon) {
   }
 }
 
-void Simulation::run_parallel() {
+void Simulation::run_windows() {
   const unsigned R = config_.num_ranks;
   // Rebalance accounting: per-component counters written only by the
   // owning rank's thread during a window and read at the barrier.
   rebalance_accounting_ = rebalance_ctl_ != nullptr;
   rank_epoch_mark_.assign(R, 0);
 
-  // Cross-rank events sent during setup() are sitting in mailboxes; they
+  // Cross-rank events sent during setup() are staged in outboxes; they
   // must be in the vortices before the first horizon is computed or the
   // first window could run past them.
+  for (RankId r = 0; r < R; ++r) flush_outbox(r);
   for (auto& r : ranks_) drain_mailbox(r);
   const SimTime first = next_window_start();
   window_done_ = first == kTimeNever;
@@ -887,12 +831,6 @@ void Simulation::run_parallel() {
   std::barrier after_send(static_cast<std::ptrdiff_t>(R));
   std::barrier<decltype(completion)> after_drain(
       static_cast<std::ptrdiff_t>(R), completion);
-
-  // Window-batched exchange: every rank gets one staging buffer per
-  // destination; sends inside a window are lock-free appends, flushed
-  // with one lock per destination at the after_send barrier.
-  for (auto& r : ranks_) r.outbox.resize(R);
-  exchange_batching_ = true;
 
   const bool time_barriers = config_.profile_engine;
   auto worker = [this, &after_send, &after_drain, time_barriers](RankId me) {
@@ -918,7 +856,7 @@ void Simulation::run_parallel() {
       if (waited > 0) ranks_[me].barrier_wait_seconds += waited;
     };
     while (!window_done_) {
-      rank_process_until(me, horizon_);
+      rank_process_until(me);
       flush_outbox(me);
       wait(after_send);
       drain_mailbox(ranks_[me]);
@@ -933,7 +871,6 @@ void Simulation::run_parallel() {
   }
   worker(0);
   for (auto& t : threads) t.join();
-  exchange_batching_ = false;
   rebalance_accounting_ = false;
   if (!rebalance_error_.empty()) {
     // A half-applied migration leaves an inconsistent partition; the run
@@ -945,16 +882,21 @@ void Simulation::run_parallel() {
 }
 
 SimTime Simulation::next_window_start() {
-  if (watchdog_fired_.load(std::memory_order_relaxed)) return kTimeNever;
+  if (watchdog_fired_.load(std::memory_order_relaxed) || primaries_done()) {
+    return kTimeNever;
+  }
   SimTime global_min = kTimeNever;
   for (const auto& r : ranks_) {
     global_min = std::min(global_min, r.vortex.next_time());
   }
   if (global_min > config_.end_time) {
-    for (auto& r : ranks_) r.now = config_.end_time;
+    // The next event lies past end_time, so the run ends there.  Drained
+    // queues end it instead: the clocks keep their last event's time.
+    if (global_min != kTimeNever) {
+      for (auto& r : ranks_) r.now = config_.end_time;
+    }
     return kTimeNever;
   }
-  if (primaries_done()) return kTimeNever;
   return global_min;
 }
 
@@ -974,6 +916,11 @@ SimTime Simulation::next_horizon(SimTime global_min) const {
     if (next == kTimeNever || rank_min_out_[r] == kTimeNever) continue;
     horizon = std::min(horizon, sat_add(next, rank_min_out_[r]));
   }
+  if (checkpointing() && config_.checkpoint_period > 0) {
+    // The window ends at the armed period mark, so the snapshot cut at
+    // the next barrier holds exactly the events below it.
+    horizon = std::min(horizon, ckpt_next_mark_);
+  }
   return std::min(horizon, sat_add(config_.end_time, 1));
 }
 
@@ -984,6 +931,10 @@ void Simulation::complete_window() noexcept {
     window_done_ = true;
     return;
   }
+  // The checkpoint decision comes first: it advances the period mark
+  // that every horizon from here on (the next window's, and the span end
+  // a migration traces) is capped at.
+  const bool snapshot = checkpointing() && checkpoint_due(global_min, true);
   // Rebalance check — before the horizon is computed: a migration moves
   // pending events and cut links between ranks, and the next horizon
   // must honour both to stay causal.  The epoch counter advances on
@@ -1004,9 +955,7 @@ void Simulation::complete_window() noexcept {
   // mailboxes are drained, so the global state is a consistent cut.
   // Runs after the window's observability so the snapshot carries this
   // window's records.
-  if (checkpointing() && checkpoint_due(global_min, true)) {
-    take_checkpoint();
-  }
+  if (snapshot) take_checkpoint();
 }
 
 void Simulation::record_window(SimTime global_min) {
@@ -1054,7 +1003,7 @@ void Simulation::record_window(SimTime global_min) {
 
 // ---------------------------------------------------------------------
 // Checkpointing (writer lives in src/ckpt; cadence and watchdog
-// suspension live here so serial and parallel runs trigger identically)
+// suspension live here so every rank count cuts at the same events)
 // ---------------------------------------------------------------------
 
 void Simulation::set_checkpoint_writer(
@@ -1075,7 +1024,7 @@ void Simulation::set_migrator(
 void Simulation::maybe_rebalance(SimTime global_min) {
   // Runs inside the (noexcept) barrier completion, single-threaded, with
   // every mailbox drained — the same safe point checkpoints use.  Any
-  // failure parks in rebalance_error_; run_parallel rethrows it.
+  // failure parks in rebalance_error_; run_windows rethrows it.
   try {
     std::vector<std::uint64_t> rank_events(config_.num_ranks, 0);
     std::vector<ComponentLoad> loads(components_.size());

@@ -1,9 +1,10 @@
-// Simulation: owns the component graph and drives the (optionally parallel)
-// discrete-event engine.
+// Simulation: owns the component graph and drives the discrete-event
+// engine.
 //
-// Parallel execution model — an in-process reproduction of SST's
-// MPI-rank-based conservative PDES:
-//   * components are partitioned across R ranks (threads);
+// Execution model — an in-process reproduction of SST's MPI-rank-based
+// conservative PDES, with one event loop for every rank count:
+//   * components are partitioned across R ranks (threads); a serial run
+//     is the R = 1 case, which starts no thread;
 //   * each rank runs its own TimeVortex;
 //   * events on links that cross ranks are exchanged through mailboxes;
 //   * link latency is the lookahead: rank r cannot affect another rank
@@ -13,7 +14,7 @@
 //     window horizon, see next_horizon) before the next synchronization;
 //   * mailbox drains sort by (time, priority, source link, source sequence)
 //     so results are bit-identical regardless of thread interleaving and
-//     identical to a serial run up to window-quantized termination.
+//     rank count, up to window-quantized primary termination at R > 1.
 #pragma once
 
 #include <atomic>
@@ -46,11 +47,10 @@ class CheckpointEngine;
 class Migrator;
 }  // namespace ckpt
 
-/// The run loops poll cheap-but-not-free conditions (the watchdog flag,
-/// the wall-clock checkpoint cadence) once every kEnginePollInterval
+/// The event loop polls the watchdog flag once every kEnginePollInterval
 /// events, so the hot path pays one AND-and-branch instead of an atomic
-/// load or a clock read per event.  Power of two; kEnginePollMask is the
-/// corresponding `(steps & mask) == 0` mask.
+/// load per event.  Power of two; kEnginePollMask is the corresponding
+/// `(steps & mask) == 0` mask.
 inline constexpr std::uint64_t kEnginePollInterval = 1024;
 inline constexpr std::uint64_t kEnginePollMask = kEnginePollInterval - 1;
 
@@ -62,7 +62,8 @@ enum class PartitionStrategy {
 };
 
 struct SimConfig {
-  /// Number of parallel partitions (in-process ranks).  1 = serial engine.
+  /// Number of partitions (in-process ranks).  1 runs the same windowed
+  /// event loop on the calling thread alone.
   unsigned num_ranks = 1;
   /// Hard stop time; kTimeNever runs until the termination protocol fires.
   SimTime end_time = kTimeNever;
@@ -129,9 +130,9 @@ struct SimConfig {
 
   // --- checkpointing (src/ckpt) --------------------------------------
   /// Simulated-time cadence between checkpoints; 0 disables the
-  /// simulated-time trigger.  In parallel runs checkpoints are cut at
-  /// sync-window barriers, so the period must be >= the sync window
-  /// (initialize() rejects shorter periods with a ConfigError).
+  /// simulated-time trigger.  Windows end at each period mark, so a
+  /// snapshot holds exactly the events below its mark at every rank
+  /// count, and any period >= 1ps is honoured.
   SimTime checkpoint_period = 0;
   /// Wall-clock cadence between checkpoints in seconds; 0 disables the
   /// wall-clock trigger.  Either trigger may be used alone or combined.
@@ -147,12 +148,12 @@ struct SimConfig {
 struct RunStats {
   std::uint64_t events_processed = 0;  // summed across ranks
   std::uint64_t clock_ticks = 0;       // clock dispatches across ranks
-  std::uint64_t sync_windows = 0;      // barrier rounds (parallel only)
+  std::uint64_t sync_windows = 0;      // barrier rounds (any rank count)
   std::uint64_t cross_rank_events = 0; // events that crossed a partition
   SimTime final_time = 0;              // simulated time at termination
   double wall_seconds = 0.0;
   std::uint64_t cut_links = 0;         // link endpoints crossing ranks
-  SimTime lookahead = 0;               // sync window lookahead used
+  SimTime lookahead = 0;               // min cut-link latency, <= 10us
   std::uint64_t checkpoints = 0;       // snapshots written this run
   double checkpoint_seconds = 0.0;     // wall time spent writing them
   std::uint64_t pool_allocs = 0;       // fresh clock-tick allocations
@@ -274,11 +275,12 @@ class Simulation {
 
   // ---- checkpointing (src/ckpt) -------------------------------------
 
-  /// Installs the checkpoint writer callback.  The engine invokes it at
-  /// safe points (between events in serial runs, inside the sync-window
-  /// barrier in parallel runs) whenever the configured simulated-time or
-  /// wall-clock cadence is due.  Writer failures are reported to stderr
-  /// and the run continues.  Installed by ckpt::install_writer().
+  /// Installs the checkpoint writer callback.  The engine invokes it
+  /// inside the window barrier (every rank parked, every mailbox drained)
+  /// whenever the configured simulated-time or wall-clock cadence is due;
+  /// the simulated-time trigger fires at the window that ends at its
+  /// period mark.  Writer failures are reported to stderr and the run
+  /// continues.  Installed by ckpt::install_writer().
   void set_checkpoint_writer(std::function<void(Simulation&)> writer);
 
   /// True when a checkpoint writer is installed.
@@ -321,10 +323,11 @@ class Simulation {
     // Incoming cross-rank events, locked by senders.
     std::mutex mailbox_mutex;
     std::vector<EventPtr> mailbox;
-    // Outbound cross-rank staging, one buffer per destination rank.
-    // Filled lock-free by this rank's thread while a sync window runs;
-    // flushed with one mailbox lock per destination at the after_send
-    // barrier.  Buffers keep their capacity across windows.
+    // Outbound cross-rank staging, one buffer per destination rank, sized
+    // by the constructor.  Filled lock-free by this rank's thread while a
+    // window runs (and by setup()); flushed with one mailbox lock per
+    // destination at the after_send barrier and before the first window.
+    // Buffers keep their capacity across windows.
     std::vector<std::vector<EventPtr>> outbox;
     // drain_mailbox swaps the mailbox into this scratch vector under the
     // lock, so both vectors' capacities ping-pong between windows instead
@@ -353,7 +356,13 @@ class Simulation {
   void register_component_clock(ComponentId comp, SimTime period,
                                 ClockHandler handler);
   void note_primary() { ++primary_count_; }
-  void note_primary_ok() { ++primary_ok_count_; }
+  void note_primary_ok() {
+    ++primary_ok_count_;
+    // A one-rank run stops right after the handler that completes the
+    // set: closing the open window ends rank_process_until before the
+    // next event.  With more ranks termination is a vote at the barrier.
+    if (config_.num_ranks == 1 && primaries_done()) horizon_ = 0;
+  }
 
   // Called by Link / Clock on every send — defined inline so the whole
   // send -> vortex-insert chain compiles into the caller.
@@ -362,17 +371,10 @@ class Simulation {
       ranks_[dst_rank].vortex.insert(std::move(ev));
       return;
     }
-    if (exchange_batching_) {
-      // We are on src_rank's worker thread: stage locally, no lock.  The
-      // whole buffer moves to dst's mailbox under one lock in
-      // flush_outbox() at the end of the window.
-      ranks_[src_rank].outbox[dst_rank].push_back(std::move(ev));
-      return;
-    }
-    cross_rank_events_.fetch_add(1, std::memory_order_relaxed);
-    RankState& dst = ranks_[dst_rank];
-    std::lock_guard<std::mutex> lock(dst.mailbox_mutex);
-    dst.mailbox.push_back(std::move(ev));
+    // We are on src_rank's thread (or in setup()): stage locally, no
+    // lock.  The whole buffer moves to dst's mailbox under one lock in
+    // flush_outbox() at the end of the window (or before the first one).
+    ranks_[src_rank].outbox[dst_rank].push_back(std::move(ev));
   }
   void schedule_local(RankId rank, EventPtr ev) {
     ranks_[rank].vortex.insert(std::move(ev));
@@ -383,9 +385,9 @@ class Simulation {
   // Engine internals.
   void wire_links();
   /// Recomputes everything wire_links derives from component ranks (link
-  /// owner/peer ranks, lookahead, cut-link count, per-rank min
-  /// out-latency) after migrations changed the partition.  Runs at the
-  /// sync barrier while every rank thread is parked.
+  /// owner/peer ranks, cut-link count, per-rank min out-latency) after
+  /// migrations changed the partition.  Runs at the sync barrier while
+  /// every rank thread is parked.
   void refresh_partition();
   /// Rebalance check at the sync barrier (single-threaded, before the
   /// next horizon is computed — a migration moves pending events and cut
@@ -397,11 +399,12 @@ class Simulation {
   void assign_ranks();
   void assign_ranks_mincut();
   void run_init_phases();
-  void run_serial();
-  void run_parallel();
-  // Parallel window steps.  Each runs single-threaded: before the worker
-  // threads start, or inside the barrier completion while every rank
-  // thread is parked and every mailbox is drained.
+  /// The event loop for every rank count: rank 0 runs on the calling
+  /// thread, ranks 1..R-1 on one thread each.
+  void run_windows();
+  // Window steps.  Each runs single-threaded: before the worker threads
+  // start, or inside the barrier completion while every rank thread is
+  // parked and every mailbox is drained.
   /// Earliest pending event time over all ranks, or kTimeNever when the
   /// run is over (watchdog fired, primaries done, queues drained, or the
   /// next event lies past end_time — the rank clocks then stop there).
@@ -409,7 +412,8 @@ class Simulation {
   /// Exact causal horizon of the window starting at `global_min`:
   /// min over ranks r with pending events and outgoing cut links of
   /// (next event time of r + rank_min_out_[r]), capped at
-  /// global_min + kMaxSyncWindow and at end_time + 1.
+  /// global_min + kMaxSyncWindow, at the armed checkpoint mark and at
+  /// end_time + 1.
   [[nodiscard]] SimTime next_horizon(SimTime global_min) const;
   /// Per-window engine observability: trace span, profile stats and
   /// per-rank metrics lines.
@@ -417,7 +421,9 @@ class Simulation {
   /// The after_drain barrier completion: counts the window, checks
   /// termination, rebalances, opens the next window and checkpoints.
   void complete_window() noexcept;
-  void rank_process_until(RankId me, SimTime horizon);
+  /// Processes rank `me`'s events below horizon_ (re-read after every
+  /// event: a one-rank run's primary exit closes the window early).
+  void rank_process_until(RankId me);
   void drain_mailbox(RankState& rank);
   /// Moves rank `me`'s staged outbound events into the destination
   /// mailboxes, one lock per non-empty destination buffer.  Called right
@@ -487,11 +493,10 @@ class Simulation {
   std::atomic<std::uint32_t> primary_count_{0};
   std::atomic<std::uint32_t> primary_ok_count_{0};
   std::atomic<std::uint64_t> cross_rank_events_{0};
-  // Set by the watchdog thread; run loops poll it every 1024 events so the
-  // check costs nothing measurable on the hot path.
+  // Set by the watchdog thread; the event loop polls it every 1024 events
+  // so the check costs nothing measurable on the hot path.
   std::atomic<bool> watchdog_fired_{false};
 
-  SimTime lookahead_ = kTimeNever;
   std::uint64_t cut_links_ = 0;
   // Per-rank minimum latency over cross-rank links whose *sending*
   // endpoint lives on that rank (kTimeNever when the rank has none).
@@ -499,17 +504,13 @@ class Simulation {
   // future influence on any other rank (see next_horizon).
   std::vector<SimTime> rank_min_out_;
   RunStats run_stats_;
-  // The open parallel window: ranks process events below horizon_ and
-  // stop once window_done_ is set.  Written only while the engine is
-  // single-threaded (see complete_window), read by the rank threads after
-  // the barrier releases them.
+  // The open window: ranks process events below horizon_ and stop once
+  // window_done_ is set.  Written only while the engine is single-threaded
+  // (see complete_window; note_primary_ok writes horizon_ only when rank
+  // 0's thread is the only one), read by the rank threads after the
+  // barrier releases them.
   SimTime horizon_ = 0;
   bool window_done_ = false;
-  // True while the parallel worker loops run: cross-rank sends stage in
-  // the sender's outbox instead of locking the destination mailbox.
-  // Only toggled while the engine is single-threaded (before workers
-  // start / after they join), so a plain bool is race-free.
-  bool exchange_batching_ = false;
 
   // Observability state (null unless enabled in SimConfig).
   std::unique_ptr<obs::Tracer> tracer_;
@@ -538,7 +539,7 @@ class Simulation {
   std::vector<PendingClock> pending_clocks_;
 
   // Checkpoint state (src/ckpt installs the writer; the engine owns the
-  // cadence so serial and parallel runs trigger at deterministic points).
+  // cadence so every rank count cuts at the same events).
   std::function<void(Simulation&)> ckpt_writer_;
   SimTime ckpt_next_mark_ = kTimeNever;  // lazily armed from first event
   std::chrono::steady_clock::time_point ckpt_last_wall_{};
@@ -573,7 +574,7 @@ class Simulation {
   // the engine.sync imbalance_ratio stat and metrics JSONL).
   std::vector<std::uint64_t> rank_epoch_mark_;
   // A migration failure detected inside the (noexcept) barrier
-  // completion parks here; run_parallel rethrows it after the workers
+  // completion parks here; run_windows rethrows it after the workers
   // join.  An inconsistent partition cannot continue.
   std::string rebalance_error_;
   std::uint64_t rebalance_epoch_ = 0;  // epochs since last check (ckpt'd)

@@ -425,7 +425,9 @@ ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
                            cc.params);
       }
       if (jc.has("rank")) {
-        cc.rank = static_cast<RankId>(jc.at("rank").as_number());
+        cc.rank = static_cast<RankId>(
+            parse_count("component '" + cc.name + "' rank",
+                        jc.at("rank").dump(), 0, UINT32_MAX));
       }
       graph.components_.push_back(std::move(cc));
     }
@@ -491,8 +493,8 @@ ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
   if (doc.has("faults")) {
     const JsonValue& jf = doc.at("faults");
     if (jf.has("seed")) {
-      graph.sim_config_.fault_seed =
-          static_cast<std::uint64_t>(jf.at("seed").as_number());
+      graph.apply_override("/config/fault_seed",
+                           number_text(jf.at("seed").as_number()));
     }
     if (jf.has("links")) {
       for (const auto& jl : jf.at("links").as_array()) {
@@ -512,7 +514,9 @@ ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
       for (const auto& jp : jf.at("ports").as_array()) {
         ConfigPortFault pf;
         pf.router = jp.at("router").as_string();
-        pf.port = static_cast<std::uint32_t>(jp.at("port").as_number());
+        pf.port = static_cast<std::uint32_t>(
+            parse_count("port fault on '" + pf.router + "': port",
+                        jp.at("port").dump(), 0, UINT32_MAX));
         pf.fail_at = jp.at("fail_at").as_string();
         if (jp.has("heal_at")) pf.heal_at = jp.at("heal_at").as_string();
         graph.faults_.ports.push_back(std::move(pf));
@@ -554,10 +558,16 @@ ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
       sc.checkpoint_period =
           UnitAlgebra(jk.at("period").as_string()).to_simtime();
     }
-    sc.checkpoint_wall = jk.get_number("wall_seconds", sc.checkpoint_wall);
+    // Checked as --checkpoint-wall and --checkpoint-keep are.
+    if (jk.has("wall_seconds")) {
+      sc.checkpoint_wall = parse_seconds("checkpointing.wall_seconds",
+                                         jk.at("wall_seconds").dump());
+    }
     sc.checkpoint_dir = jk.get_string("dir", sc.checkpoint_dir);
-    sc.checkpoint_keep = static_cast<unsigned>(
-        jk.get_number("keep", sc.checkpoint_keep));
+    if (jk.has("keep")) {
+      sc.checkpoint_keep = static_cast<unsigned>(parse_count(
+          "checkpointing.keep", jk.at("keep").dump(), 0, UINT32_MAX));
+    }
   }
   return graph;
 }

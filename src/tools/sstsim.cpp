@@ -116,9 +116,8 @@ int help(const char* argv0) {
   std::cout <<
       "\nCheckpointing:\n"
       "  --checkpoint-period TIME   snapshot every TIME of simulated time\n"
-      "                             (parallel runs cut at sync-window\n"
-      "                             barriers; must be >= the minimum\n"
-      "                             cross-rank link latency)\n"
+      "                             (each snapshot holds the events before\n"
+      "                             its mark, at any rank count)\n"
       "  --checkpoint-wall SECS     snapshot every SECS of wall clock\n"
       "  --checkpoint-dir DIR       snapshot directory (default \"ckpt\")\n"
       "  --checkpoint-keep N        keep only the newest N snapshots "
@@ -132,7 +131,7 @@ int help(const char* argv0) {
       "  where the earliest cross-rank event of the next window could\n"
       "  land (a rank's next event time plus its minimum outgoing\n"
       "  cross-rank link latency), at most 10us past the earliest\n"
-      "  pending event.  Results are byte-identical to the serial run.\n"
+      "  pending event.  Results are byte-identical to the one-rank run.\n"
       "\nOnline repartitioning (parallel runs; see DESIGN.md):\n"
       "  --rebalance                migrate components between ranks at\n"
       "                             sync barriers when the per-epoch event\n"

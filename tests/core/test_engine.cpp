@@ -97,6 +97,28 @@ TEST(Engine, EndTimeStopsRun) {
   EXPECT_EQ(stats.final_time, 42 * kNanosecond);
 }
 
+TEST(Engine, OneRankStopsAtThePrimaryCompletionEvent) {
+  // A free-running Ticker beside a Pinger primary: a one-rank run must
+  // stop right after the reply that completes the Pinger, not at the end
+  // of the open window.  50.125ns links put the 20th delivery at
+  // 1,002,500ps, between two 1GHz ticks.
+  Simulation sim;
+  Params tp;
+  tp.set("limit", "1000000000");
+  auto* ticker = sim.add_component<testing::Ticker>("ticker", tp);
+  Params pp;
+  pp.set("count", "10");
+  auto* pinger = sim.add_component<Pinger>("ping", pp);
+  Params ep;
+  sim.add_component<Echo>("echo", ep);
+  sim.connect("ping", "port", "echo", "port", 50125);
+  const RunStats stats = sim.run();
+  ASSERT_EQ(pinger->round_trips.size(), 10u);
+  EXPECT_EQ(stats.final_time, 1002500u);
+  EXPECT_EQ(ticker->ticks, 1002u);
+  EXPECT_EQ(stats.events_processed, 20u + 1002u);
+}
+
 TEST(Engine, RunsToEmptyWithoutPrimaries) {
   // An Echo pair with nothing injected: zero events, terminates cleanly.
   Simulation sim;

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "ckpt/checkpoint.h"
 #include "core/sst.h"
 #include "../test_components.h"
 
@@ -23,15 +24,10 @@ struct RingResult {
   RunStats stats;
 };
 
-/// PHOLD ring of `nodes` nodes.  Every link has 100ns latency, or with
-/// `mixed_latency` link i (n_i <-> n_i+1) has (i + 1) * 100ns, so the
+/// Adds a PHOLD ring of `nodes` nodes.  Every link has 100ns latency, or
+/// with `mixed_latency` link i (n_i <-> n_i+1) has (i + 1) * 100ns, so the
 /// ranks' cut links differ in latency.
-RingResult run_ring(unsigned ranks, PartitionStrategy part,
-                    unsigned nodes = 8, bool mixed_latency = false) {
-  Simulation sim(SimConfig{.num_ranks = ranks,
-                           .end_time = 20 * kMicrosecond,
-                           .seed = 7,
-                           .partition = part});
+void add_ring(Simulation& sim, unsigned nodes, bool mixed_latency) {
   Params p;
   p.set("fanout", "2");
   p.set("initial_events", "3");
@@ -44,6 +40,15 @@ RingResult run_ring(unsigned ranks, PartitionStrategy part,
                 "n" + std::to_string((i + 1) % nodes), "port1",
                 (mixed_latency ? i + 1 : 1) * 100 * kNanosecond);
   }
+}
+
+RingResult run_ring(unsigned ranks, PartitionStrategy part,
+                    unsigned nodes = 8, bool mixed_latency = false) {
+  Simulation sim(SimConfig{.num_ranks = ranks,
+                           .end_time = 20 * kMicrosecond,
+                           .seed = 7,
+                           .partition = part});
+  add_ring(sim, nodes, mixed_latency);
   RingResult r;
   r.stats = sim.run();
   r.events = r.stats.events_processed;
@@ -189,6 +194,63 @@ TEST(Parallel, ManyRanksMoreThanComponents) {
 
 TEST(Parallel, ZeroRanksRejected) {
   EXPECT_THROW(Simulation sim(SimConfig{.num_ranks = 0}), ConfigError);
+}
+
+TEST(Parallel, DrainedRunFinalTimeIndependentOfRankCount) {
+  // Two Tickers that unregister after 7 and 3 ticks drain every queue
+  // long before end_time: the run ends at the last tick (7ns) at every
+  // rank count, not at end_time.
+  for (const unsigned ranks : {1u, 2u, 4u}) {
+    SimConfig cfg;
+    cfg.num_ranks = ranks;
+    cfg.end_time = kMicrosecond;
+    Simulation sim(cfg);
+    Params a;
+    a.set("limit", "7");
+    sim.add_component<testing::Ticker>("a", a);
+    Params b;
+    b.set("limit", "3");
+    b.set("clock", "500MHz");  // its own clock at every rank count
+    sim.add_component<testing::Ticker>("b", b);
+    const RunStats stats = sim.run();
+    EXPECT_EQ(stats.final_time, 7 * kNanosecond) << ranks << " ranks";
+    EXPECT_EQ(stats.events_processed, 10u) << ranks << " ranks";
+  }
+}
+
+/// Simulated time of every snapshot (the checkpoint header's value) of
+/// the 8-node 100ns ring at `ranks` ranks with one snapshot per `period`.
+std::vector<SimTime> ring_cut_times(unsigned ranks, SimTime period) {
+  SimConfig cfg;
+  cfg.num_ranks = ranks;
+  cfg.end_time = 20 * kMicrosecond;
+  cfg.seed = 7;
+  cfg.checkpoint_period = period;
+  Simulation sim(cfg);
+  add_ring(sim, 8, /*mixed_latency=*/false);
+  std::vector<SimTime> cuts;
+  sim.set_checkpoint_writer([&cuts](Simulation& s) {
+    cuts.push_back(ckpt::CheckpointEngine::sim_time(s));
+  });
+  sim.run();
+  return cuts;
+}
+
+TEST(Parallel, CheckpointCutTimesIndependentOfRankCount) {
+  // Windows end at each period mark, so every rank count cuts its
+  // snapshots after the same events.  30ns is below the 100ns cut-link
+  // latency: such a period only ends windows early.
+  for (const SimTime period : {3 * kMicrosecond, 30 * kNanosecond}) {
+    const std::vector<SimTime> serial = ring_cut_times(1, period);
+    ASSERT_GE(serial.size(), 20 * kMicrosecond / period / 2) << period;
+    for (std::size_t k = 1; k < serial.size(); ++k) {
+      // One snapshot per period interval: each holds only events below
+      // its mark, and the next mark lies past the event it stopped at.
+      EXPECT_LT(serial[k - 1] / period, serial[k] / period) << period;
+    }
+    EXPECT_EQ(ring_cut_times(2, period), serial) << period;
+    EXPECT_EQ(ring_cut_times(4, period), serial) << period;
+  }
 }
 
 struct GridResult {

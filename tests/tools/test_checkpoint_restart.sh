@@ -11,6 +11,8 @@
 #   4. A truncated newest snapshot falls back to the previous intact one
 #      (exit 0, with a diagnostic); a directory with no intact snapshot
 #      fails with exit 5.
+#   5. A 4-rank run whose period is shorter than its cut-link latency
+#      checkpoints at every mark, and its snapshots resume byte-identically.
 #
 #   test_checkpoint_restart.sh <sstsim> <models_dir>
 set -u
@@ -71,6 +73,15 @@ run resume_old "$SSTSIM" --restart "$oldest" --ranks 4 \
 check "resume from oldest snapshot identical" \
     cmp -s "$WORK/ref.csv" "$WORK/res_old.csv"
 
+# Turning the simulated-time cadence off on restart (a wall cadence
+# keeps the writer installed) must not leave windows capped at the
+# restored period mark, which lies before the run's last event.
+run resume_wall "$SSTSIM" --restart "$oldest" --ranks 4 \
+    --checkpoint-period 0s --checkpoint-wall 100 \
+    --checkpoint-dir "$WORK/cpw" --stats "$WORK/res_wall.csv"
+check "resume with the period turned off identical" \
+    cmp -s "$WORK/ref.csv" "$WORK/res_wall.csv"
+
 # --- 3: SIGKILL mid-run, restart from latest snapshot -----------------
 # Slow the victim down with a wall-clock checkpoint cadence so there is
 # time to kill it mid-flight; the simulated-time cadence keeps writing
@@ -119,6 +130,26 @@ rc=$?
 check "no intact snapshot exits 5" test "$rc" -eq 5
 check "exit-5 diagnostic says restart failed" \
     grep -q "restart failed" "$WORK/bad.err"
+
+# --- 5: a period shorter than the cut-link latency --------------------
+# The model's 4-rank cut links have 20ns latency.  Windows end at each
+# 19ns mark, so the period is honoured at any rank count; resuming from
+# the first snapshot and from the newest one both reach the plain run.
+run sref "$SSTSIM" "$MODEL" --ranks 4 --end 30us --stats "$WORK/sref.csv"
+run short "$SSTSIM" "$MODEL" --ranks 4 --end 30us --stats "$WORK/short.csv" \
+    --checkpoint-period 19ns --checkpoint-dir "$WORK/scp" --checkpoint-keep 0
+check "sub-latency checkpointing run matches plain run" \
+    cmp -s "$WORK/sref.csv" "$WORK/short.csv"
+check "sub-latency run wrote more than one snapshot" \
+    test -f "$WORK/scp/sim.ckpt.000002"
+run sres_first "$SSTSIM" --restart "$WORK/scp/sim.ckpt.000001" --ranks 4 \
+    --stats "$WORK/sres_first.csv"
+check "resume from the first sub-latency snapshot identical" \
+    cmp -s "$WORK/sref.csv" "$WORK/sres_first.csv"
+run sres_last "$SSTSIM" --restart "$WORK/scp" --ranks 4 \
+    --stats "$WORK/sres_last.csv"
+check "resume from the newest sub-latency snapshot identical" \
+    cmp -s "$WORK/sref.csv" "$WORK/sres_last.csv"
 
 if [ "$fail" -ne 0 ]; then exit 1; fi
 echo "ckpt_restart: all checkpoint/restart contracts hold"

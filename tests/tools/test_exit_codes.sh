@@ -178,5 +178,41 @@ names "--watchdog nan" "--watchdog"
 expect 2 "--watchdog -5"   "$SSTSIM" "$MODELS/pingpong.json" --watchdog -5
 names "--watchdog -5" "--watchdog"
 
+# SDL numbers that size or place things take the checks their flags
+# take: a negative keep must not turn rotation off, a negative wall
+# cadence must not turn the trigger off, and a fractional, negative or
+# huge rank or fault port must not be truncated or wrapped into range.
+# with_section <name> <json member>: pingpong.json plus one top-level
+# member.
+with_section() {
+  sed "s/\"links\": \[\],/\"links\": [], $2,/" \
+      "$MODELS/pingpong.json" > "$WORK/$1.json"
+}
+with_section keep_neg '"checkpointing": {"period": "5us", "keep": -1}'
+expect 2 "sdl checkpointing.keep -1" "$SSTSIM" "$WORK/keep_neg.json" \
+                           --checkpoint-dir "$WORK/keep_neg.cp"
+names "sdl checkpointing.keep -1" "checkpointing.keep"
+with_section wall_neg '"checkpointing": {"wall_seconds": -5}'
+expect 2 "sdl checkpointing.wall_seconds -5" "$SSTSIM" "$WORK/wall_neg.json" \
+                           --checkpoint-dir "$WORK/wall_neg.cp"
+names "sdl checkpointing.wall_seconds -5" "checkpointing.wall_seconds"
+# with_rank <name> <value>: pingpong.json with component rank0 pinned.
+with_rank() {
+  sed "s/{\"name\": \"rank0\", \"type\": \"net.PingPong\",/{\"name\": \"rank0\", \"type\": \"net.PingPong\", \"rank\": $2,/" \
+      "$MODELS/pingpong.json" > "$WORK/$1.json"
+}
+for r in 2.7 -1 1e12; do
+  with_rank "rank_$r" "$r"
+  expect 2 "sdl rank $r"   "$SSTSIM" "$WORK/rank_$r.json" --ranks 4
+  names "sdl rank $r" "component 'rank0' rank"
+done
+with_section port_neg \
+  '"faults": {"ports": [{"router": "rtr0", "port": -1, "fail_at": "5us"}]}'
+expect 2 "sdl fault port -1" "$SSTSIM" "$WORK/port_neg.json"
+names "sdl fault port -1" "port fault on 'rtr0': port"
+with_section fseed_neg '"faults": {"seed": -1}'
+expect 2 "sdl faults.seed -1" "$SSTSIM" "$WORK/fseed_neg.json"
+names "sdl faults.seed -1" "fault_seed"
+
 if [ "$fail" -ne 0 ]; then exit 1; fi
 echo "exit_codes: all codes as documented"
