@@ -781,11 +781,16 @@ CheckpointData load_checkpoint(const std::string& path,
       " candidate(s) rejected by validation)");
 }
 
-void install_writer(Simulation& sim, std::string graph_json,
+void install_writer(Simulation& sim,
+                    const std::function<std::string()>& graph_json,
                     std::uint64_t start_seq) {
+  if (sim.config().checkpoint_period == 0 &&
+      sim.config().checkpoint_wall <= 0) {
+    return;
+  }
   auto seq = std::make_shared<std::uint64_t>(start_seq);
   sim.set_checkpoint_writer(
-      [graph = std::move(graph_json), seq](Simulation& s) {
+      [graph = graph_json(), seq](Simulation& s) {
         CheckpointData data;
         data.seq = ++*seq;
         data.sim_time = CheckpointEngine::sim_time(s);

@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -104,12 +105,15 @@ void write_checkpoint_file(const std::string& dir, const CheckpointData& data,
                                              std::string* loaded_path =
                                                  nullptr);
 
-/// Installs the checkpoint writer on `sim`: at every due cadence point
-/// the engine captures the state blob and writes it (with the given
-/// graph JSON) into sim.config().checkpoint_dir, numbering snapshots
-/// from `start_seq` + 1.  Pass the seq of the snapshot a run was
-/// restored from so the resumed run continues the numbering.
-void install_writer(Simulation& sim, std::string graph_json,
+/// Installs the checkpoint writer on `sim` when its config sets a
+/// simulated-time or wall-clock cadence, and does nothing otherwise: at
+/// every due cadence point the engine captures the state blob and writes
+/// it (with the graph JSON `graph_json` returns, called once here) into
+/// sim.config().checkpoint_dir, numbering snapshots from `start_seq` + 1.
+/// Pass the seq of the snapshot a run was restored from so the resumed
+/// run continues the numbering.
+void install_writer(Simulation& sim,
+                    const std::function<std::string()>& graph_json,
                     std::uint64_t start_seq = 0);
 
 }  // namespace sst::ckpt

@@ -1,14 +1,26 @@
 #include "daemon/protocol.h"
 
+#include <algorithm>
 #include <climits>
 #include <sstream>
 
 #include "core/params.h"
 #include "obs/json_util.h"
+#include "sdl/settings.h"
 
 namespace sst::daemon {
 
 namespace {
+
+/// Older clients' run fields, each an override; `keep` means the model's.
+struct Alias {
+  const char* field;
+  const char* path;
+  const char* keep;
+};
+constexpr Alias kAliases[] = {{"ranks", "/config/num_ranks", "0"},
+                              {"end", "/config/end_time", ""},
+                              {"seed", "/config/seed", nullptr}};
 
 void append_common_run_fields(std::ostream& os, const RunRequest& req) {
   os << "\"id\":\"" << obs::json_escape(req.id) << "\",\"model\":\""
@@ -21,10 +33,7 @@ void append_common_run_fields(std::ostream& os, const RunRequest& req) {
     os << "\"" << obs::json_escape(path) << "\":\""
        << obs::json_escape(value) << "\"";
   }
-  os << "},\"ranks\":" << req.ranks << ",\"end\":\""
-     << obs::json_escape(req.end_time) << "\"";
-  if (req.seed) os << ",\"seed\":" << *req.seed;
-  os << ",\"timeout\":" << obs::json_number(req.timeout_seconds)
+  os << "},\"timeout\":" << obs::json_number(req.timeout_seconds)
      << ",\"retries\":" << req.retries
      << ",\"backoff\":" << obs::json_number(req.backoff_seconds);
   if (req.test_signal != 0) os << ",\"test_signal\":" << req.test_signal;
@@ -81,34 +90,50 @@ RunRequest run_request_from_json(const sdl::JsonValue& doc) {
       req.overrides.emplace_back(path, value.as_string());
     }
   }
-  req.end_time = doc.get_string("end", "");
-  if (doc.has("seed")) {
-    req.seed = static_cast<std::uint64_t>(doc.at("seed").as_number());
-  }
-  // Checked as a sweep spec's "run" section checks them.
+  // Checked as a sweep spec's "run" section checks them, through the same
+  // setting_text.
   try {
-    auto count = [&doc](const char* key, unsigned& field) {
-      if (doc.has(key)) {
-        field = static_cast<unsigned>(parse_count(
-            std::string("run op \"") + key + "\"", doc.at(key).dump(), 0,
-            UINT32_MAX));
-      }
-    };
+    if (doc.has("retries")) {
+      const std::string what = "run op \"retries\"";
+      req.retries = static_cast<unsigned>(parse_count(
+          what, sdl::setting_text(doc.at("retries"), what), 0, UINT32_MAX));
+    }
     auto seconds = [&doc](const char* key, double& field) {
       if (doc.has(key)) {
-        field = parse_seconds(std::string("run op \"") + key + "\"",
-                              doc.at(key).dump());
+        const std::string what = std::string("run op \"") + key + "\"";
+        field = parse_seconds(what, sdl::setting_text(doc.at(key), what));
       }
     };
-    count("ranks", req.ranks);
-    count("retries", req.retries);
     seconds("timeout", req.timeout_seconds);
     seconds("backoff", req.backoff_seconds);
+    for (const Alias& a : kAliases) {
+      if (!doc.has(a.field)) continue;
+      const std::string what = std::string("run op \"") + a.field + "\"";
+      const std::string text = sdl::setting_text(doc.at(a.field), what);
+      if (a.keep != nullptr && text == a.keep) continue;
+      sdl::check_setting(a.path, text, what);
+      req.set_override(a.path, text);
+    }
   } catch (const ConfigError& e) {
     throw DaemonError(e.what());
   }
+  if (req.timeout_seconds > 0) {
+    req.set_override("/config/watchdog_seconds",
+                     obs::json_number(req.timeout_seconds));
+  }
   req.test_signal = static_cast<int>(doc.get_number("test_signal", 0));
   return req;
+}
+
+void RunRequest::set_override(const std::string& path,
+                              const std::string& value) {
+  const auto it = std::ranges::find(overrides, path,
+                                    &decltype(overrides)::value_type::first);
+  if (it != overrides.end()) {
+    it->second = value;
+  } else {
+    overrides.emplace_back(path, value);
+  }
 }
 
 std::string run_request_to_line(const RunRequest& req) {

@@ -5,8 +5,8 @@
 //
 // Client -> daemon ops:
 //   {"op":"run", "id":..., "model":"<SDL JSON text>", "out":"<dir>",
-//    "overrides":{"/config/seed":"7", ...}, "ranks":N, "end":"1ms",
-//    "seed":N, "timeout":S, "retries":N, "backoff":S}
+//    "overrides":{"/config/seed":"7", ...}, "timeout":S, "retries":N,
+//    "backoff":S}
 //   {"op":"status"}            health snapshot
 //   {"op":"result","id":...}   look up a finished request in the ledger
 //   {"op":"drain"}             finish accepted work, refuse new, exit
@@ -20,13 +20,17 @@
 //   {"type":"status", ...counters...}
 //   {"type":"error","error":"..."}       protocol-level problem
 //
+// A run's settings travel as overrides.  The older run fields "ranks",
+// "end" and "seed" are checked aliases of /config/num_ranks, end_time and
+// seed ("ranks": 0 and "end": "" keep the model's own); "timeout" is the
+// deadline and also /config/watchdog_seconds.  Both win over "overrides".
+//
 // The "test_signal" run field is a harness hook: the worker raises that
 // signal instead of simulating, so crash isolation can be exercised
 // deterministically from CI.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,14 +54,15 @@ struct RunRequest {
   std::string id;          // client-chosen; "" = daemon assigns
   std::string model_json;  // SDL system description text
   std::string out_dir;     // receives request.json + stats.json
+  /// ConfigGraph overrides, one per path (the wire carries an object).
   std::vector<std::pair<std::string, std::string>> overrides;
-  unsigned ranks = 0;            // 0 = model's own
-  std::string end_time;          // "" = model's own
-  std::optional<std::uint64_t> seed;
-  double timeout_seconds = 300;  // watchdog budget (0 = none)
+  double timeout_seconds = 300;  // deadline and watchdog (0 = none)
   unsigned retries = 2;          // extra attempts for transient failures
   double backoff_seconds = 0.5;  // initial retry backoff, doubling
   int test_signal = 0;           // harness hook (see header comment)
+
+  /// Sets the override of `path`, replacing an earlier one.
+  void set_override(const std::string& path, const std::string& value);
 };
 
 /// A parsed client line.

@@ -12,9 +12,9 @@
 #include <iostream>
 #include <sstream>
 
+#include "ckpt/checkpoint.h"
 #include "core/atomic_file.h"
 #include "core/simulation.h"
-#include "core/unit_algebra.h"
 #include "daemon/graph_cache.h"
 
 namespace fs = std::filesystem;
@@ -78,13 +78,6 @@ WorkerReply execute_job(GraphCache& cache, const RunRequest& req,
     for (const auto& [path, value] : req.overrides) {
       graph.apply_override(path, value);
     }
-    SimConfig& sc = graph.sim_config();
-    if (req.ranks > 0) sc.num_ranks = req.ranks;
-    if (!req.end_time.empty()) {
-      sc.end_time = UnitAlgebra(req.end_time).to_simtime();
-    }
-    if (req.seed) sc.seed = *req.seed;
-    if (req.timeout_seconds > 0) sc.watchdog_seconds = req.timeout_seconds;
     const auto problems = graph.validate(Factory::instance());
     if (!problems.empty()) {
       std::ostringstream os;
@@ -98,6 +91,7 @@ WorkerReply execute_job(GraphCache& cache, const RunRequest& req,
       throw ConfigError("cannot enter out directory '" + req.out_dir + "'");
     }
     auto sim = graph.build();
+    ckpt::install_writer(*sim, [&graph] { return graph.to_json().dump(); });
     const RunStats stats = sim->run();
     print_done_line(std::cerr, stats);
     std::ostringstream os;

@@ -188,8 +188,13 @@ OrchestratorSummary run_points(const SweepSpec& spec,
     for (std::size_t a = 0; a < spec.axes.size(); ++a) {
       req.overrides.emplace_back(spec.axes[a].path, p.values[a]);
     }
-    req.ranks = spec.run.ranks;
-    req.end_time = spec.run.end_time;
+    // The run policy's settings win over an axis of the same path.
+    if (spec.run.ranks > 0) {
+      req.set_override("/config/num_ranks", std::to_string(spec.run.ranks));
+    }
+    if (!spec.run.end_time.empty()) {
+      req.set_override("/config/end_time", spec.run.end_time);
+    }
     req.timeout_seconds = spec.run.timeout_seconds;
     req.retries = spec.run.retries;
     req.backoff_seconds = spec.run.backoff_seconds;

@@ -7,18 +7,29 @@
 #include <set>
 
 #include "core/params.h"
+#include "sdl/settings.h"
 
 namespace sst::dse {
 
 namespace {
 
-/// Formats a range sample as a parameter value: integral values print
-/// without a decimal point so "/config/seed"-style integer overrides and
-/// byte counts stay parseable; everything else uses shortest-round-trip
-/// %g, matching the SDL's number-to-param normalization.
+/// parse_count of a spec member, failing with a SweepError.
+std::uint64_t spec_count(const std::string& what, const sdl::JsonValue& v,
+                         std::uint64_t lo, std::uint64_t hi) {
+  try {
+    return parse_count(what, sdl::setting_text(v, what), lo, hi);
+  } catch (const ConfigError& e) {
+    throw SweepError(e.what());
+  }
+}
+
+/// Formats a range sample as a parameter value: integral values a long
+/// long holds print without a decimal point so "/config/seed"-style
+/// integer overrides and byte counts stay parseable; everything else uses
+/// %g.
 std::string format_value(double v, const std::string& suffix) {
   char buf[40];
-  if (v == static_cast<double>(static_cast<long long>(v))) {
+  if (v >= -0x1p63 && v < 0x1p63 && v == std::trunc(v)) {
     std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
   } else {
     std::snprintf(buf, sizeof buf, "%g", v);
@@ -35,10 +46,11 @@ std::vector<std::string> expand_range(const sdl::JsonValue& jr,
   if (!jr.has("from") || !jr.has("to")) fail("range requires from and to");
   const double from = jr.at("from").as_number();
   const double to = jr.at("to").as_number();
-  const auto steps =
-      static_cast<std::uint64_t>(jr.get_number("steps", 2));
+  const std::uint64_t steps =
+      jr.has("steps") ? spec_count("axis '" + path + "': range.steps",
+                                   jr.at("steps"), 1, kMaxSweepPoints)
+                      : 2;
   const std::string scale = jr.get_string("scale", "linear");
-  if (steps == 0) fail("empty range (steps must be >= 1)");
   if (scale != "linear" && scale != "log") {
     fail("unknown scale '" + scale + "' (known: linear, log)");
   }
@@ -143,6 +155,11 @@ SweepSpec SweepSpec::from_json(const sdl::JsonValue& doc,
       throw SweepError("axis '" + axis.path + "': empty value list");
     }
     spec.axes.push_back(std::move(axis));
+    // Checked per axis, so a second oversized axis fails before it expands.
+    if (spec.cross_size() > kMaxSweepPoints) {
+      throw SweepError("axes: the cross product has more than " +
+                       std::to_string(kMaxSweepPoints) + " points");
+    }
   }
   std::set<std::string> axis_names;
   for (const auto& a : spec.axes) {
@@ -162,13 +179,13 @@ SweepSpec SweepSpec::from_json(const sdl::JsonValue& doc,
       if (!js.has("count")) {
         throw SweepError("random sampling requires \"count\"");
       }
-      spec.sampling.count = static_cast<std::uint64_t>(
-          js.at("count").as_number());
-      if (spec.sampling.count == 0) {
-        throw SweepError("random sampling count must be >= 1");
+      spec.sampling.count =
+          spec_count("sample.count", js.at("count"), 1, kMaxSweepPoints);
+      // to_json writes the seed as a string: a double loses u64 seeds.
+      if (js.has("seed")) {
+        spec.sampling.seed =
+            spec_count("sample.seed", js.at("seed"), 0, UINT64_MAX);
       }
-      spec.sampling.seed =
-          static_cast<std::uint64_t>(js.get_number("seed", 1));
     } else {
       throw SweepError("unknown sampling mode '" + mode +
                        "' (known: cross, random)");
@@ -210,27 +227,32 @@ SweepSpec SweepSpec::from_json(const sdl::JsonValue& doc,
   if (doc.has("run")) {
     const sdl::JsonValue& jr = doc.at("run");
     RunPolicy& run = spec.run;
+    // Every member goes through setting_text, as the counts above do.
+    auto count = [&jr](const char* key, unsigned& field, unsigned lo) {
+      if (jr.has(key)) {
+        field = static_cast<unsigned>(spec_count(
+            std::string("run.") + key, jr.at(key), lo, UINT32_MAX));
+      }
+    };
+    count("concurrency", run.concurrency, 1);
+    count("retries", run.retries, 0);
+    count("ranks", run.ranks, 0);
     try {
-      auto count = [&jr](const char* key, unsigned& field, unsigned lo) {
-        if (jr.has(key)) {
-          field = static_cast<unsigned>(parse_count(
-              std::string("run.") + key, jr.at(key).dump(), lo, UINT32_MAX));
-        }
-      };
       auto seconds = [&jr](const char* key, double& field) {
         if (jr.has(key)) {
-          field = parse_seconds(std::string("run.") + key, jr.at(key).dump());
+          const std::string what = std::string("run.") + key;
+          field = parse_seconds(what, sdl::setting_text(jr.at(key), what));
         }
       };
-      count("concurrency", run.concurrency, 1);
-      count("retries", run.retries, 0);
-      count("ranks", run.ranks, 0);
       seconds("timeout_seconds", run.timeout_seconds);
       seconds("backoff_seconds", run.backoff_seconds);
+      run.end_time = jr.get_string("end", "");  // a /config/end_time
+      if (!run.end_time.empty()) {
+        sdl::check_setting("/config/end_time", run.end_time, "run.end");
+      }
     } catch (const ConfigError& e) {
       throw SweepError(e.what());
     }
-    run.end_time = jr.get_string("end", "");
   }
   return spec;
 }
@@ -255,7 +277,7 @@ sdl::JsonValue SweepSpec::to_json() const {
       sampling.mode == Sampling::Mode::kRandom ? "random" : "cross";
   if (sampling.mode == Sampling::Mode::kRandom) {
     js["count"] = sdl::JsonValue(sampling.count);
-    js["seed"] = sdl::JsonValue(sampling.seed);
+    js["seed"] = std::to_string(sampling.seed);
   }
   doc["sample"] = sdl::JsonValue(std::move(js));
   sdl::JsonArray objs;
@@ -286,7 +308,8 @@ sdl::JsonValue SweepSpec::to_json() const {
 std::uint64_t SweepSpec::cross_size() const {
   std::uint64_t total = 1;
   for (const auto& a : axes) {
-    total *= static_cast<std::uint64_t>(a.values.size());
+    const std::uint64_t n = a.values.size();
+    total = n != 0 && total > UINT64_MAX / n ? UINT64_MAX : total * n;
   }
   return total;
 }

@@ -39,6 +39,10 @@
 
 namespace sst::dse {
 
+/// Bounds range steps, the cross product and a random sample, so
+/// expanding a spec cannot exhaust memory.
+inline constexpr std::uint64_t kMaxSweepPoints = 1'000'000;
+
 /// Thrown on malformed sweep specifications.
 class SweepError : public ConfigError {
  public:
@@ -93,7 +97,8 @@ struct SweepSpec {
   /// Parses and validates a sweep document.  `spec_dir` anchors relative
   /// model paths ("" = cwd).  Throws SweepError on structural problems:
   /// missing/empty axes, empty ranges, duplicate axis paths, bad
-  /// goals/modes, non-positive log ranges.
+  /// goals/modes, non-positive log ranges, counts that are not whole
+  /// numbers in range, more than kMaxSweepPoints points.
   [[nodiscard]] static SweepSpec from_json_text(std::string_view text,
                                                const std::string& spec_dir);
   [[nodiscard]] static SweepSpec from_json(const sdl::JsonValue& doc,
@@ -103,7 +108,7 @@ struct SweepSpec {
   /// output directory so `resume` does not depend on the original file).
   [[nodiscard]] sdl::JsonValue to_json() const;
 
-  /// Total size of the axes' cross product.
+  /// Total size of the axes' cross product (UINT64_MAX if it overflows).
   [[nodiscard]] std::uint64_t cross_size() const;
 };
 

@@ -1,7 +1,6 @@
 #include "sdl/config_graph.h"
 
 #include <algorithm>
-#include <charconv>
 #include <set>
 #include <string_view>
 #include <utility>
@@ -10,122 +9,20 @@
 #include "core/unit_algebra.h"
 #include "fault/fault_model.h"
 #include "net/router.h"
+#include "sdl/settings.h"
 
 namespace sst::sdl {
 
 namespace {
 
-net::TopologySpec::Kind topology_kind(const std::string& name) {
-  using Kind = net::TopologySpec::Kind;
-  if (name == "mesh2d") return Kind::kMesh2D;
-  if (name == "torus2d") return Kind::kTorus2D;
-  if (name == "torus3d") return Kind::kTorus3D;
-  if (name == "fattree") return Kind::kFatTree;
-  if (name == "dragonfly") return Kind::kDragonfly;
-  throw ConfigError("unknown network topology '" + name +
-                    "' (known: mesh2d, torus2d, torus3d, fattree, "
-                    "dragonfly)");
-}
-
-const char* topology_name(net::TopologySpec::Kind kind) {
-  using Kind = net::TopologySpec::Kind;
-  switch (kind) {
-    case Kind::kMesh2D: return "mesh2d";
-    case Kind::kTorus2D: return "torus2d";
-    case Kind::kTorus3D: return "torus3d";
-    case Kind::kFatTree: return "fattree";
-    case Kind::kDragonfly: return "dragonfly";
-  }
-  return "?";
-}
-
-PartitionStrategy partition_from_string(const std::string& name) {
-  if (name == "linear") return PartitionStrategy::kLinear;
-  if (name == "roundrobin") return PartitionStrategy::kRoundRobin;
-  if (name == "mincut") return PartitionStrategy::kMinCut;
-  throw ConfigError("unknown partition strategy '" + name +
-                    "' (known: linear, roundrobin, mincut)");
-}
-
-// The keys the "config" section accepts: from_json reads exactly these
-// and apply_override sets exactly these.  Error messages list them in
-// this order.
-constexpr std::string_view kConfigKeys[] = {
-    "end_time", "num_ranks", "seed", "fault_seed", "partition", "sync_mode",
-    "rebalance_mode", "rebalance_threshold", "rebalance_period",
-    "rebalance_max_moves", "watchdog_seconds", "detect_deadlock", "verbose"};
-
-/// Why a "config" key outside kConfigKeys is rejected.
-std::string config_key_error(const std::string& key) {
-  if (key == "lax_skew" || key == "sync_window_max") {
-    return "config key '" + key +
-           "' was removed with the lax and adaptive synchronization "
-           "modes; parallel runs always synchronize at the exact causal "
-           "horizon";
-  }
-  std::string known;
-  for (const std::string_view k : kConfigKeys) {
-    if (!known.empty()) known += ", ";
-    known += k;
-  }
-  return "unknown config key '" + key + "' (known: " + known + ")";
-}
-
-/// "conservative" is the only synchronization mode left; it is still
-/// accepted so existing descriptions keep working.
-void check_sync_mode(const std::string& name) {
-  if (name == "conservative") return;
-  throw ConfigError("sync_mode '" + name +
-                    "' is not supported: the lax and adaptive modes were "
-                    "removed and parallel runs always synchronize at the "
-                    "exact causal horizon (only \"conservative\" is "
-                    "accepted)");
-}
-
-bool rebalance_mode_from_string(const std::string& name) {
-  if (name == "on") return true;
-  if (name == "off") return false;
-  throw ConfigError("unknown rebalance mode '" + name +
-                    "' (known: on, off)");
-}
-
-const char* partition_name(PartitionStrategy strategy) {
-  switch (strategy) {
-    case PartitionStrategy::kLinear: return "linear";
-    case PartitionStrategy::kRoundRobin: return "roundrobin";
-    case PartitionStrategy::kMinCut: return "mincut";
-  }
-  return "?";
-}
-
-/// A JSON number as the text an override would carry: plain decimal,
-/// shortest round-trip digits.
-std::string number_text(double d) {
-  char buf[400];  // fits every finite double in fixed notation
-  return {buf, std::to_chars(buf, buf + sizeof buf, d,
-                             std::chars_format::fixed).ptr};
-}
-
-/// Reads a JSON object of scalar values into `out` as stringified params;
+/// Reads a JSON object of scalar values into `out` as setting_text does;
 /// `ctx` prefixes error messages ("component 'cpu0'", "vm tlb", ...).
 void read_scalar_params(const JsonValue& jp, const std::string& ctx,
                         Params& out) {
+  std::string what;  // reused: models have thousands of params
   for (const auto& [k, v] : jp.as_object()) {
-    if (v.is_string()) {
-      out.set(k, v.as_string());
-    } else if (v.is_number()) {
-      // Normalize integral numbers to integer strings.
-      const double d = v.as_number();
-      if (d == static_cast<double>(static_cast<long long>(d))) {
-        out.set(k, std::to_string(static_cast<long long>(d)));
-      } else {
-        out.set(k, std::to_string(d));
-      }
-    } else if (v.is_bool()) {
-      out.set(k, v.as_bool() ? "true" : "false");
-    } else {
-      throw ConfigError(ctx + " param '" + k + "' must be a scalar");
-    }
+    what.assign(ctx).append(" param '").append(k).append("'");
+    out.set(k, setting_text(v, what));
   }
 }
 
@@ -203,13 +100,6 @@ std::vector<std::string> ConfigGraph::validate(const Factory& factory) const {
       problems.push_back(
           "\"vm\" section is enabled but the model has no vm.Tlb component");
     }
-  }
-  if (!sim_config_.stats_format.empty() &&
-      sim_config_.stats_format != "console" &&
-      sim_config_.stats_format != "csv" &&
-      sim_config_.stats_format != "json") {
-    problems.push_back("unknown stats_format '" + sim_config_.stats_format +
-                       "' (known: console, csv, json)");
   }
   if (sim_config_.metrics_period == 0) {
     problems.push_back("metrics_period must be >= 1ps");
@@ -384,36 +274,8 @@ ConfigGraph ConfigGraph::from_json_text(std::string_view text) {
 
 ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
   ConfigGraph graph;
-  if (doc.has("config")) {
-    const JsonValue& cfg = doc.at("config");
-    for (const auto& entry : cfg.as_object()) {
-      if (std::ranges::find(kConfigKeys, entry.first) ==
-          std::ranges::end(kConfigKeys)) {
-        throw ConfigError(config_key_error(entry.first));
-      }
-    }
-    SimConfig& sc = graph.sim_config();
-    if (cfg.has("end_time")) {
-      sc.end_time = UnitAlgebra(cfg.at("end_time").as_string()).to_simtime();
-    }
-    // Numbers take the checked conversion an override of the same key
-    // takes, so "num_ranks": -1 fails as --override /config/num_ranks=-1.
-    for (const std::string_view key :
-         {"num_ranks", "seed", "fault_seed", "watchdog_seconds",
-          "rebalance_threshold", "rebalance_period", "rebalance_max_moves"}) {
-      if (cfg.has(key)) {
-        graph.apply_override("/config/" + std::string(key),
-                             number_text(cfg.at(key).as_number()));
-      }
-    }
-    sc.detect_deadlock = cfg.get_bool("detect_deadlock", sc.detect_deadlock);
-    sc.verbose = cfg.get_bool("verbose", false);
-    sc.partition = partition_from_string(cfg.get_string("partition", "linear"));
-    check_sync_mode(cfg.get_string("sync_mode", "conservative"));
-    if (cfg.has("rebalance_mode")) {
-      sc.rebalance =
-          rebalance_mode_from_string(cfg.at("rebalance_mode").as_string());
-    }
+  for (const std::string_view section : kSettingSections) {
+    if (doc.has(section)) read_settings(graph, section, doc.at(section));
   }
   if (doc.has("components")) {
     for (const auto& jc : doc.at("components").as_array()) {
@@ -433,35 +295,9 @@ ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
     }
   }
   if (doc.has("network")) {
-    const JsonValue& jn = doc.at("network");
-    ConfigNetwork& n = graph.network_;
-    n.present = true;
-    n.spec.kind = topology_kind(jn.at("topology").as_string());
-    // Router counts size the fabric: checked as their overrides are.
-    for (const std::string_view key :
-         {"x", "y", "z", "concentration", "leaves", "spines", "down",
-          "groups", "group_routers", "group_conc", "global_per_router",
-          "seed"}) {
-      if (jn.has(key)) {
-        graph.apply_override("/network/" + std::string(key),
-                             number_text(jn.at(key).as_number()));
-      }
-    }
-    n.spec.link_bandwidth =
-        jn.get_string("link_bandwidth", n.spec.link_bandwidth);
-    n.spec.link_latency = jn.get_string("link_latency", n.spec.link_latency);
-    n.spec.hop_latency = jn.get_string("hop_latency", n.spec.hop_latency);
-    const std::string routing = jn.get_string("routing", "minimal");
-    if (routing == "minimal") {
-      n.spec.routing = net::TopologySpec::Routing::kMinimal;
-    } else if (routing == "valiant") {
-      n.spec.routing = net::TopologySpec::Routing::kValiant;
-    } else {
-      throw ConfigError("unknown routing '" + routing +
-                        "' (known: minimal, valiant)");
-    }
-    for (const auto& e : jn.at("endpoints").as_array()) {
-      n.endpoints.push_back(e.as_string());
+    graph.network_.present = true;
+    for (const auto& e : doc.at("network").at("endpoints").as_array()) {
+      graph.network_.endpoints.push_back(e.as_string());
     }
   }
   if (doc.has("links")) {
@@ -493,8 +329,10 @@ ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
   if (doc.has("faults")) {
     const JsonValue& jf = doc.at("faults");
     if (jf.has("seed")) {
-      graph.apply_override("/config/fault_seed",
-                           number_text(jf.at("seed").as_number()));
+      // An alias of config.fault_seed, read after (so winning over) it.
+      const std::string what = "faults.seed (config.fault_seed)";
+      find_setting("config", "fault_seed")
+          ->parse(graph, setting_text(jf.at("seed"), what), what);
     }
     if (jf.has("links")) {
       for (const auto& jl : jf.at("links").as_array()) {
@@ -523,52 +361,6 @@ ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
       }
     }
   }
-  if (doc.has("observability")) {
-    const JsonValue& jo = doc.at("observability");
-    SimConfig& sc = graph.sim_config_;
-    if (jo.has("trace")) {
-      const JsonValue& t = jo.at("trace");
-      if (t.is_string()) {
-        sc.trace_path = t.as_string();
-      } else {
-        sc.trace = t.as_bool();
-      }
-    }
-    sc.trace_engine = jo.get_bool("trace_engine", sc.trace_engine);
-    if (jo.has("metrics")) {
-      const JsonValue& m = jo.at("metrics");
-      if (m.is_string()) {
-        sc.metrics_path = m.as_string();
-      } else {
-        sc.metrics = m.as_bool();
-      }
-    }
-    if (jo.has("metrics_period")) {
-      sc.metrics_period =
-          UnitAlgebra(jo.at("metrics_period").as_string()).to_simtime();
-    }
-    sc.profile_engine = jo.get_bool("profile_engine", sc.profile_engine);
-    sc.stats_path = jo.get_string("stats", sc.stats_path);
-    sc.stats_format = jo.get_string("stats_format", sc.stats_format);
-  }
-  if (doc.has("checkpointing")) {
-    const JsonValue& jk = doc.at("checkpointing");
-    SimConfig& sc = graph.sim_config_;
-    if (jk.has("period")) {
-      sc.checkpoint_period =
-          UnitAlgebra(jk.at("period").as_string()).to_simtime();
-    }
-    // Checked as --checkpoint-wall and --checkpoint-keep are.
-    if (jk.has("wall_seconds")) {
-      sc.checkpoint_wall = parse_seconds("checkpointing.wall_seconds",
-                                         jk.at("wall_seconds").dump());
-    }
-    sc.checkpoint_dir = jk.get_string("dir", sc.checkpoint_dir);
-    if (jk.has("keep")) {
-      sc.checkpoint_keep = static_cast<unsigned>(parse_count(
-          "checkpointing.keep", jk.at("keep").dump(), 0, UINT32_MAX));
-    }
-  }
   return graph;
 }
 
@@ -593,42 +385,15 @@ void ConfigGraph::apply_override(std::string_view path,
   auto as_u32 = [&](const std::string& v) {
     return detail::parse_param<std::uint32_t>(v, p);
   };
-  auto as_u64 = [&](const std::string& v) {
-    return detail::parse_param<std::uint64_t>(v, p);
-  };
 
-  if (seg[0] == "config") {
-    if (seg.size() != 2) fail("expected /config/<key>");
-    const std::string& key = seg[1];
-    if (key == "end_time") {
-      sim_config_.end_time = UnitAlgebra(value).to_simtime();
-    } else if (key == "num_ranks") {
-      sim_config_.num_ranks = as_u32(value);
-    } else if (key == "seed") {
-      sim_config_.seed = as_u64(value);
-    } else if (key == "fault_seed") {
-      sim_config_.fault_seed = as_u64(value);
-    } else if (key == "partition") {
-      sim_config_.partition = partition_from_string(value);
-    } else if (key == "sync_mode") {
-      check_sync_mode(value);
-    } else if (key == "rebalance_mode") {
-      sim_config_.rebalance = rebalance_mode_from_string(value);
-    } else if (key == "rebalance_threshold") {
-      sim_config_.rebalance_threshold = detail::parse_param<double>(value, p);
-    } else if (key == "rebalance_period") {
-      sim_config_.rebalance_period = as_u64(value);
-    } else if (key == "rebalance_max_moves") {
-      sim_config_.rebalance_max_moves = as_u32(value);
-    } else if (key == "watchdog_seconds") {
-      sim_config_.watchdog_seconds = detail::parse_param<double>(value, p);
-    } else if (key == "detect_deadlock") {
-      sim_config_.detect_deadlock = detail::parse_param<bool>(value, p);
-    } else if (key == "verbose") {
-      sim_config_.verbose = detail::parse_param<bool>(value, p);
-    } else {
-      fail(config_key_error(key));
+  if (std::ranges::count(kSettingSections, seg[0]) > 0) {
+    if (seg.size() != 2) fail("expected /" + seg[0] + "/<key>");
+    if (seg[0] == "network" && !network_.present) {
+      fail("model declares no \"network\" section");
     }
+    const Setting* row = find_setting(seg[0], seg[1]);
+    if (row == nullptr) fail(unknown_setting(seg[0], seg[1]));
+    row->parse(*this, value, p);
     return;
   }
 
@@ -683,60 +448,6 @@ void ConfigGraph::apply_override(std::string_view path,
     return;
   }
 
-  if (seg[0] == "network") {
-    if (seg.size() != 2) fail("expected /network/<key>");
-    if (!network_.present) fail("model declares no \"network\" section");
-    const std::string& key = seg[1];
-    net::TopologySpec& spec = network_.spec;
-    if (key == "topology") {
-      spec.kind = topology_kind(value);
-    } else if (key == "x") {
-      spec.x = as_u32(value);
-    } else if (key == "y") {
-      spec.y = as_u32(value);
-    } else if (key == "z") {
-      spec.z = as_u32(value);
-    } else if (key == "concentration") {
-      spec.concentration = as_u32(value);
-    } else if (key == "leaves") {
-      spec.leaves = as_u32(value);
-    } else if (key == "spines") {
-      spec.spines = as_u32(value);
-    } else if (key == "down") {
-      spec.down = as_u32(value);
-    } else if (key == "groups") {
-      spec.groups = as_u32(value);
-    } else if (key == "group_routers") {
-      spec.group_routers = as_u32(value);
-    } else if (key == "group_conc") {
-      spec.group_conc = as_u32(value);
-    } else if (key == "global_per_router") {
-      spec.global_per_router = as_u32(value);
-    } else if (key == "link_bandwidth") {
-      spec.link_bandwidth = value;
-    } else if (key == "link_latency") {
-      spec.link_latency = value;
-    } else if (key == "hop_latency") {
-      spec.hop_latency = value;
-    } else if (key == "seed") {
-      spec.seed = as_u64(value);
-    } else if (key == "routing") {
-      if (value == "minimal") {
-        spec.routing = net::TopologySpec::Routing::kMinimal;
-      } else if (value == "valiant") {
-        spec.routing = net::TopologySpec::Routing::kValiant;
-      } else {
-        fail("unknown routing '" + value + "' (known: minimal, valiant)");
-      }
-    } else {
-      fail("unknown network key '" + key +
-           "' (known: topology, x, y, z, concentration, leaves, spines, "
-           "down, groups, group_routers, group_conc, global_per_router, "
-           "link_bandwidth, link_latency, hop_latency, seed, routing)");
-    }
-    return;
-  }
-
   if (seg[0] == "vm") {
     if (!vm_.present) fail("model declares no \"vm\" section");
     if (seg.size() == 2 && seg[1] == "enable") {
@@ -755,35 +466,16 @@ void ConfigGraph::apply_override(std::string_view path,
   }
 
   fail("unknown root '" + seg[0] +
-       "' (known: /config, /components, /links, /network, /vm)");
+       "' (known: /config, /observability, /checkpointing, /network, "
+       "/components, /links, /vm)");
 }
 
 JsonValue ConfigGraph::to_json() const {
   JsonObject doc;
-  JsonObject cfg;
-  if (sim_config_.end_time != kTimeNever) {
-    cfg["end_time"] =
-        JsonValue(std::to_string(sim_config_.end_time) + "ps");
+  for (const std::string_view section : kSettingSections) {
+    JsonObject members = write_settings(*this, section);
+    if (!members.empty()) doc.emplace(section, JsonValue(std::move(members)));
   }
-  cfg["num_ranks"] = JsonValue(static_cast<double>(sim_config_.num_ranks));
-  cfg["seed"] = JsonValue(static_cast<double>(sim_config_.seed));
-  if (sim_config_.fault_seed != 0) {
-    cfg["fault_seed"] = JsonValue(static_cast<double>(sim_config_.fault_seed));
-  }
-  if (sim_config_.watchdog_seconds > 0) {
-    cfg["watchdog_seconds"] = JsonValue(sim_config_.watchdog_seconds);
-  }
-  if (!sim_config_.detect_deadlock) cfg["detect_deadlock"] = JsonValue(false);
-  cfg["partition"] = partition_name(sim_config_.partition);
-  if (sim_config_.rebalance) {
-    cfg["rebalance_mode"] = JsonValue(std::string("on"));
-    cfg["rebalance_threshold"] = JsonValue(sim_config_.rebalance_threshold);
-    cfg["rebalance_period"] =
-        JsonValue(static_cast<double>(sim_config_.rebalance_period));
-    cfg["rebalance_max_moves"] =
-        JsonValue(static_cast<double>(sim_config_.rebalance_max_moves));
-  }
-  doc["config"] = JsonValue(std::move(cfg));
 
   JsonArray comps;
   for (const auto& c : components_) {
@@ -814,35 +506,9 @@ JsonValue ConfigGraph::to_json() const {
   doc["links"] = JsonValue(std::move(links));
 
   if (network_.present) {
-    JsonObject jn;
-    jn["topology"] = topology_name(network_.spec.kind);
-    jn["x"] = JsonValue(static_cast<double>(network_.spec.x));
-    jn["y"] = JsonValue(static_cast<double>(network_.spec.y));
-    jn["z"] = JsonValue(static_cast<double>(network_.spec.z));
-    jn["concentration"] =
-        JsonValue(static_cast<double>(network_.spec.concentration));
-    jn["leaves"] = JsonValue(static_cast<double>(network_.spec.leaves));
-    jn["spines"] = JsonValue(static_cast<double>(network_.spec.spines));
-    jn["down"] = JsonValue(static_cast<double>(network_.spec.down));
-    jn["groups"] = JsonValue(static_cast<double>(network_.spec.groups));
-    jn["group_routers"] =
-        JsonValue(static_cast<double>(network_.spec.group_routers));
-    jn["group_conc"] =
-        JsonValue(static_cast<double>(network_.spec.group_conc));
-    jn["global_per_router"] =
-        JsonValue(static_cast<double>(network_.spec.global_per_router));
-    jn["link_bandwidth"] = network_.spec.link_bandwidth;
-    jn["link_latency"] = network_.spec.link_latency;
-    jn["hop_latency"] = network_.spec.hop_latency;
-    jn["seed"] = JsonValue(static_cast<double>(network_.spec.seed));
-    jn["routing"] =
-        network_.spec.routing == net::TopologySpec::Routing::kValiant
-            ? "valiant"
-            : "minimal";
-    JsonArray eps;
-    for (const auto& e : network_.endpoints) eps.push_back(JsonValue(e));
-    jn["endpoints"] = JsonValue(std::move(eps));
-    doc["network"] = JsonValue(std::move(jn));
+    JsonValue& jn = doc.try_emplace("network", JsonObject{}).first->second;
+    jn.as_object()["endpoints"] =
+        JsonArray(network_.endpoints.begin(), network_.endpoints.end());
   }
 
   if (vm_.present) {
@@ -894,47 +560,6 @@ JsonValue ConfigGraph::to_json() const {
     doc["faults"] = JsonValue(std::move(jf));
   }
 
-  if (sim_config_.trace || !sim_config_.trace_path.empty() ||
-      sim_config_.metrics || !sim_config_.metrics_path.empty() ||
-      sim_config_.profile_engine || !sim_config_.stats_path.empty() ||
-      !sim_config_.stats_format.empty()) {
-    JsonObject jo;
-    if (!sim_config_.trace_path.empty()) {
-      jo["trace"] = sim_config_.trace_path;
-    } else if (sim_config_.trace) {
-      jo["trace"] = JsonValue(true);
-    }
-    if (sim_config_.trace_engine) jo["trace_engine"] = JsonValue(true);
-    if (!sim_config_.metrics_path.empty()) {
-      jo["metrics"] = sim_config_.metrics_path;
-    } else if (sim_config_.metrics) {
-      jo["metrics"] = JsonValue(true);
-    }
-    if (sim_config_.metrics || !sim_config_.metrics_path.empty()) {
-      jo["metrics_period"] =
-          JsonValue(std::to_string(sim_config_.metrics_period) + "ps");
-    }
-    if (sim_config_.profile_engine) jo["profile_engine"] = JsonValue(true);
-    if (!sim_config_.stats_path.empty()) jo["stats"] = sim_config_.stats_path;
-    if (!sim_config_.stats_format.empty()) {
-      jo["stats_format"] = sim_config_.stats_format;
-    }
-    doc["observability"] = JsonValue(std::move(jo));
-  }
-
-  if (sim_config_.checkpoint_period > 0 || sim_config_.checkpoint_wall > 0) {
-    JsonObject jk;
-    if (sim_config_.checkpoint_period > 0) {
-      jk["period"] =
-          JsonValue(std::to_string(sim_config_.checkpoint_period) + "ps");
-    }
-    if (sim_config_.checkpoint_wall > 0) {
-      jk["wall_seconds"] = JsonValue(sim_config_.checkpoint_wall);
-    }
-    jk["dir"] = sim_config_.checkpoint_dir;
-    jk["keep"] = JsonValue(static_cast<double>(sim_config_.checkpoint_keep));
-    doc["checkpointing"] = JsonValue(std::move(jk));
-  }
   return JsonValue(std::move(doc));
 }
 

@@ -39,7 +39,7 @@
 //   },
 //   // optional: deterministic fault injection (see src/fault)
 //   "faults": {
-//     "seed": 99,                     // fault RNG seed (default: config seed)
+//     "seed": 99,                     // alias of config.fault_seed
 //     "links": [
 //       { "component": "rank0", "port": "net",
 //         "drop": 0.01, "duplicate": 0.001, "delay": 0.05,
@@ -60,15 +60,19 @@
 //     "profile_engine": false,        // engine.rankN statistics + lines
 //     "stats": "stats.csv",           // stats dump path ("-" = stdout)
 //     "stats_format": "csv"           // console | csv | json
-//   }
+//   },
+//   // optional: snapshots for --restart (see src/ckpt)
+//   "checkpointing": { "period": "1ms", "wall_seconds": 300,
+//                      "dir": "ckpt", "keep": 3 }
 // }
 //
-// "config" additionally accepts "fault_seed", "watchdog_seconds",
-// "detect_deadlock", "verbose" and the "rebalance_*" keys; any other key
-// is an error.  Parallel runs always synchronize at the exact causal
-// horizon (see DESIGN.md "Synchronization"), so "sync_mode" is accepted
-// only as "conservative", and the removed lax/adaptive keys "lax_skew" and
-// "sync_window_max" are rejected with a message naming the removal.
+// Every scalar member of "config", "observability", "checkpointing" and
+// "network" is a run setting (settings.h): a string, number or bool read
+// as the text its row parses, so "seed": 7 and "seed": "7" are the same.
+// Any other key of those sections is an error listing the section's keys.
+// "sync_mode" is accepted only as "conservative", and the removed
+// lax/adaptive keys "lax_skew" and "sync_window_max" are rejected with a
+// message naming the removal (DESIGN.md "Synchronization").
 #pragma once
 
 #include <optional>
@@ -179,26 +183,32 @@ class ConfigGraph {
   [[nodiscard]] std::unique_ptr<Simulation> build(
       const Factory& factory = Factory::instance()) const;
 
-  /// JSON round trip.
+  /// JSON round trip.  to_json writes each run setting that differs
+  /// from its default as its row's text in a JSON string, so emit ->
+  /// re-parse -> emit is byte-identical and u64 seeds survive.
   [[nodiscard]] static ConfigGraph from_json(const JsonValue& doc);
   [[nodiscard]] static ConfigGraph from_json_text(std::string_view text);
   [[nodiscard]] JsonValue to_json() const;
 
   /// Applies a single JSON-pointer-style override to the graph:
   ///
-  ///   /config/<key>                     engine knobs (seed, end_time,
+  ///   /config/<key>                     engine settings (seed, end_time,
   ///                                     num_ranks, partition, ...)
+  ///   /observability/<key>              trace, metrics and stats output
+  ///   /checkpointing/<key>              snapshot period, dir, keep, ...
+  ///   /network/<key>                    fabric settings (topology, x, y,
+  ///                                     link_latency, routing, ...)
   ///   /components/<name>/params/<key>   a component parameter
   ///   /components/<name>/rank           pin the component to a rank
   ///   /links/<index>/latency[_back]     link latency overrides
-  ///   /network/<key>                    fabric knobs (topology, x, y,
-  ///                                     link_latency, routing, ...)
   ///   /vm/enable                        virtual addressing on/off
   ///   /vm/tlb/<key>                     vm.Tlb default parameter
   ///   /vm/walker/<key>                  vm.PageTableWalker default parameter
   ///
-  /// This is the substrate of DSE sweep axes (src/dse): every axis path
-  /// resolves through here.  Unknown paths throw ConfigError naming the
+  /// The first four roots are the run settings, parsed by the same row as
+  /// the SDL member and the sstsim flag; a bad value fails naming the
+  /// path.  This is the substrate of DSE sweep axes, sstsim's overrides
+  /// and daemon requests.  Unknown paths throw ConfigError naming the
   /// valid alternatives at the failing segment so sweep authors can
   /// self-correct.
   void apply_override(std::string_view path, const std::string& value);

@@ -18,7 +18,8 @@
 //   --fault-seed <n>     override the fault-injection seed
 //   --override <p>=<v>   apply a ConfigGraph override (the same paths a
 //                        sweep axis uses, e.g. /vm/enable=false or
-//                        /components/l1/params/size=64KiB); repeatable
+//                        /components/l1/params/size=64KiB); repeatable;
+//                        setting flags apply after these
 //   --watchdog <secs>    abort with diagnostics after this much wall clock
 //   --checkpoint-period <t>  write a snapshot every <t> of simulated time
 //   --checkpoint-wall <secs> write a snapshot every <secs> of wall clock
@@ -54,11 +55,14 @@
 //   6  sweep failed (one or more points failed permanently)
 //   7  daemon error (sstsimd unreachable, rejected the request, or a
 //      protocol failure; reserved for daemon-side faults)
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "core/params.h"
 #include "ckpt/checkpoint.h"
@@ -69,6 +73,7 @@
 #include "proc/proc_lib.h"
 #include "vm/vm_lib.h"
 #include "sdl/config_graph.h"
+#include "sdl/settings.h"
 
 #ifndef SSTSIM_VERSION
 #define SSTSIM_VERSION "dev"
@@ -114,6 +119,10 @@ int usage(const char* argv0) {
 int help(const char* argv0) {
   print_options(std::cout, argv0);
   std::cout <<
+      "\nRun settings (README.md \"Run settings\"):\n"
+      "  A setting flag is the override of its path (--ranks N is\n"
+      "  --override /config/num_ranks=N), applied after the --override\n"
+      "  entries.\n"
       "\nCheckpointing:\n"
       "  --checkpoint-period TIME   snapshot every TIME of simulated time\n"
       "                             (each snapshot holds the events before\n"
@@ -221,6 +230,45 @@ void write_stats(const sst::StatisticsRegistry& stats, std::ostream& os,
   }
 }
 
+/// Submits the model to sstsimd and waits for the outcome; returns the
+/// run's contract code.
+int run_on_daemon(const std::string& socket,
+                  const sst::daemon::RunRequest& req) {
+  try {
+    sst::daemon::DaemonClient client(socket);
+    client.send(req);
+    for (;;) {
+      const sst::sdl::JsonValue reply = client.next_reply();
+      const std::string type = reply.get_string("type", "");
+      if (type == "accepted") continue;  // wait for the outcome
+      if (type == "rejected") {
+        std::cerr << "daemon rejected the request: "
+                  << reply.get_string("reason", "?") << "\n";
+        return kExitDaemon;
+      }
+      if (type == "done") {
+        const std::string status = reply.get_string("status", "failed");
+        const int code = static_cast<int>(reply.get_number("exit", 1));
+        if (status == "ok") {
+          std::cerr << "daemon run ok (" << reply.get_number("attempts", 1)
+                    << " attempt(s)); statistics written to "
+                    << reply.get_string("stats", "") << "\n";
+          return 0;
+        }
+        std::cerr << "daemon run " << status << ": "
+                  << reply.get_string("error", "") << "\n";
+        return code != 0 ? code : kExitRuntime;
+      }
+      std::cerr << "daemon error: " << reply.get_string("error", "?")
+                << "\n";
+      return kExitDaemon;
+    }
+  } catch (const sst::daemon::DaemonError& e) {
+    std::cerr << e.what() << "\n";
+    return kExitDaemon;
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -230,28 +278,8 @@ int main(int argc, char** argv) {
   sst::net::register_library();
 
   std::string input;
-  std::string stats_path;
-  std::string stats_format;
-  std::string trace_path;
-  std::string metrics_path;
-  std::optional<std::string> metrics_period;
-  bool trace_engine = false;
-  bool profile_engine = false;
   bool validate_only = false;
-  std::optional<unsigned> ranks;
-  std::optional<std::string> end_time;
-  std::optional<std::uint64_t> seed;
-  std::optional<std::uint64_t> fault_seed;
-  bool rebalance = false;
-  std::optional<std::string> rebalance_threshold;
-  std::optional<std::string> rebalance_period;
-  std::optional<std::string> rebalance_max_moves;
-  std::optional<double> watchdog;
   std::string restart_path;
-  std::optional<std::string> ckpt_period;
-  std::optional<double> ckpt_wall;
-  std::string ckpt_dir;
-  std::optional<unsigned> ckpt_keep;
   std::string sweep_path;
   std::string sweep_out;
   unsigned sweep_jobs = 0;
@@ -259,6 +287,8 @@ int main(int argc, char** argv) {
   std::string daemon_out;
   std::string daemon_id;
   std::vector<std::pair<std::string, std::string>> overrides;
+  std::vector<std::pair<const sst::sdl::SettingFlag*, std::string>>
+      flag_settings;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -283,54 +313,16 @@ int main(int argc, char** argv) {
       return help(argv[0]);
     }
     try {
-      if (arg == "--stats") {
-        const char* v = next();
+      const auto* f = std::ranges::find(sst::sdl::kSettingFlags, arg,
+                                        &sst::sdl::SettingFlag::flag);
+      if (f != std::ranges::end(sst::sdl::kSettingFlags)) {
+        const char* v = f->fixed != nullptr ? f->fixed : next();
         if (v == nullptr) return usage(argv[0]);
-        stats_path = v;
-      } else if (arg == "--stats-format") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        stats_format = v;
-        if (stats_format != "console" && stats_format != "csv" &&
-            stats_format != "json") {
-          std::cerr << "unknown stats format '" << stats_format << "'\n";
-          return usage(argv[0]);
-        }
-      } else if (arg == "--trace") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        trace_path = v;
-      } else if (arg == "--trace-engine") {
-        trace_engine = true;
-      } else if (arg == "--metrics") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        metrics_path = v;
-      } else if (arg == "--metrics-period") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        metrics_period = v;
-      } else if (arg == "--profile-engine") {
-        profile_engine = true;
+        // Checked here, so a bad value fails naming the flag.
+        sst::sdl::check_setting(f->path, v, arg);
+        flag_settings.emplace_back(f, v);
       } else if (arg == "--validate") {
         validate_only = true;
-      } else if (arg == "--ranks") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        ranks =
-            static_cast<unsigned>(sst::parse_count(arg, v, 1, UINT32_MAX));
-      } else if (arg == "--end") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        end_time = v;
-      } else if (arg == "--seed") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        seed = sst::parse_count(arg, v, 0, UINT64_MAX);
-      } else if (arg == "--fault-seed") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        fault_seed = sst::parse_count(arg, v, 0, UINT64_MAX);
       } else if (arg == "--override") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
@@ -349,45 +341,10 @@ int main(int argc, char** argv) {
                      "synchronization modes; parallel runs always "
                      "synchronize at the exact causal horizon\n";
         return kExitConfig;
-      } else if (arg == "--rebalance") {
-        rebalance = true;
-      } else if (arg == "--rebalance-threshold") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        rebalance_threshold = v;
-      } else if (arg == "--rebalance-period") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        rebalance_period = v;
-      } else if (arg == "--rebalance-max-moves") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        rebalance_max_moves = v;
-      } else if (arg == "--watchdog") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        watchdog = sst::parse_seconds(arg, v);
       } else if (arg == "--restart") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
         restart_path = v;
-      } else if (arg == "--checkpoint-period") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        ckpt_period = v;
-      } else if (arg == "--checkpoint-wall") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        ckpt_wall = sst::parse_seconds(arg, v);
-      } else if (arg == "--checkpoint-dir") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        ckpt_dir = v;
-      } else if (arg == "--checkpoint-keep") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        ckpt_keep =
-            static_cast<unsigned>(sst::parse_count(arg, v, 0, UINT32_MAX));
       } else if (arg == "--sweep") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
@@ -426,7 +383,18 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (!daemon_socket.empty()) {
+  const bool daemon = !daemon_socket.empty();
+  // The setting flags apply after the --override entries, so an explicit
+  // flag wins over an --override of the same path.
+  for (const auto& [f, value] : flag_settings) {
+    if (daemon && (f->flag == "--stats" || f->flag == "--stats-format")) {
+      std::cerr << f->flag << " does not apply with --daemon: the daemon "
+                   "writes the statistics to <daemon-out>/stats.json\n";
+      return kExitConfig;
+    }
+    overrides.emplace_back(f->path, value);
+  }
+  if (daemon) {
     if (input.empty() || !restart_path.empty() || !sweep_path.empty() ||
         validate_only) {
       std::cerr << "--daemon submits <system.json> to a running sstsimd; "
@@ -434,62 +402,7 @@ int main(int argc, char** argv) {
                    "--validate\n";
       return kExitConfig;
     }
-    std::ifstream in(input);
-    if (!in) {
-      std::cerr << "cannot open " << input << "\n";
-      return kExitConfig;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    sst::daemon::RunRequest req;
-    req.id = daemon_id;
-    req.model_json = buf.str();
-    req.out_dir = daemon_out.empty() ? "." : daemon_out;
-    if (ranks) req.ranks = *ranks;
-    if (end_time) req.end_time = *end_time;
-    req.seed = seed;
-    if (watchdog) req.timeout_seconds = *watchdog;
-    // Harness hook (see daemon/protocol.h): lets the CLI contract tests
-    // make a worker die by signal deterministically.
-    if (const char* ts = std::getenv("SSTSIM_DAEMON_TEST_SIGNAL")) {
-      req.test_signal = std::atoi(ts);
-    }
-    try {
-      sst::daemon::DaemonClient client(daemon_socket);
-      client.send(req);
-      for (;;) {
-        const sst::sdl::JsonValue reply = client.next_reply();
-        const std::string type = reply.get_string("type", "");
-        if (type == "accepted") continue;  // wait for the outcome
-        if (type == "rejected") {
-          std::cerr << "daemon rejected the request: "
-                    << reply.get_string("reason", "?") << "\n";
-          return kExitDaemon;
-        }
-        if (type == "done") {
-          const std::string status = reply.get_string("status", "failed");
-          const int code = static_cast<int>(reply.get_number("exit", 1));
-          if (status == "ok") {
-            std::cerr << "daemon run ok ("
-                      << reply.get_number("attempts", 1)
-                      << " attempt(s)); statistics written to "
-                      << reply.get_string("stats", "") << "\n";
-            return 0;
-          }
-          std::cerr << "daemon run " << status << ": "
-                    << reply.get_string("error", "") << "\n";
-          return code != 0 ? code : kExitRuntime;
-        }
-        std::cerr << "daemon error: " << reply.get_string("error", "?")
-                  << "\n";
-        return kExitDaemon;
-      }
-    } catch (const sst::daemon::DaemonError& e) {
-      std::cerr << e.what() << "\n";
-      return kExitDaemon;
-    }
-  }
-  if (!daemon_out.empty() || !daemon_id.empty()) {
+  } else if (!daemon_out.empty() || !daemon_id.empty()) {
     std::cerr << "--daemon-out/--daemon-id only apply together with "
                  "--daemon\n";
     return kExitConfig;
@@ -522,6 +435,7 @@ int main(int argc, char** argv) {
   sst::sdl::ConfigGraph graph;
   sst::ckpt::CheckpointData ckpt_data;
   std::string ckpt_loaded_path;
+  std::string model_text;
   if (restarting) {
     try {
       ckpt_data = sst::ckpt::load_checkpoint(restart_path, &ckpt_loaded_path);
@@ -546,69 +460,46 @@ int main(int argc, char** argv) {
     }
     std::ostringstream buf;
     buf << in.rdbuf();
+    model_text = buf.str();
     try {
-      graph = sst::sdl::ConfigGraph::from_json_text(buf.str());
+      graph = sst::sdl::ConfigGraph::from_json_text(model_text);
     } catch (const sst::ConfigError& e) {
       std::cerr << input << ": " << e.what() << "\n";
       return kExitConfig;
     }
   }
-  sst::SimConfig& sc = graph.sim_config();
-  if (ranks) sc.num_ranks = *ranks;
+  // Overrides and setting flags also override the settings embedded in a
+  // checkpoint on restart.
   try {
-    if (end_time) sc.end_time = sst::UnitAlgebra(*end_time).to_simtime();
-    if (metrics_period) {
-      sc.metrics_period = sst::UnitAlgebra(*metrics_period).to_simtime();
-    }
-  } catch (const sst::ConfigError& e) {
-    std::cerr << e.what() << "\n";
-    return kExitConfig;
-  }
-  if (seed) sc.seed = *seed;
-  if (fault_seed) sc.fault_seed = *fault_seed;
-  try {
-    // Generic overrides first, then the structured flags, so an explicit
-    // --rebalance wins over an --override of the same path.
     for (const auto& [path, value] : overrides) {
       graph.apply_override(path, value);
     }
-    if (rebalance) graph.apply_override("/config/rebalance_mode", "on");
-    if (rebalance_threshold) {
-      graph.apply_override("/config/rebalance_threshold",
-                           *rebalance_threshold);
-    }
-    if (rebalance_period) {
-      graph.apply_override("/config/rebalance_period", *rebalance_period);
-    }
-    if (rebalance_max_moves) {
-      graph.apply_override("/config/rebalance_max_moves",
-                           *rebalance_max_moves);
-    }
   } catch (const sst::ConfigError& e) {
     std::cerr << e.what() << "\n";
     return kExitConfig;
   }
-  if (watchdog) sc.watchdog_seconds = *watchdog;
-  // CLI observability flags override the SDL "observability" section.
-  if (!trace_path.empty()) sc.trace_path = trace_path;
-  if (trace_engine) sc.trace_engine = true;
-  if (!metrics_path.empty()) sc.metrics_path = metrics_path;
-  if (profile_engine) sc.profile_engine = true;
-  if (!stats_path.empty()) sc.stats_path = stats_path;
-  if (!stats_format.empty()) sc.stats_format = stats_format;
-  // CLI checkpoint flags override the SDL "checkpointing" section (and,
-  // on restart, the cadence embedded in the checkpoint).
-  try {
-    if (ckpt_period) {
-      sc.checkpoint_period = sst::UnitAlgebra(*ckpt_period).to_simtime();
+  const sst::SimConfig& sc = graph.sim_config();
+  if (daemon) {
+    // The worker applies the same overrides to the same bytes.  A watchdog
+    // the model or the command line sets, 0 (off) included, is also the
+    // request's deadline; without one the daemon's default applies.
+    sst::daemon::RunRequest req;
+    req.id = daemon_id;
+    req.model_json = model_text;
+    req.out_dir = daemon_out.empty() ? "." : daemon_out;
+    bool watchdog_set = sc.watchdog_seconds > 0;
+    for (const auto& [path, value] : overrides) {
+      req.set_override(path, value);
+      watchdog_set |= path == "/config/watchdog_seconds";
     }
-  } catch (const sst::ConfigError& e) {
-    std::cerr << e.what() << "\n";
-    return kExitConfig;
+    if (watchdog_set) req.timeout_seconds = sc.watchdog_seconds;
+    // Harness hook (see daemon/protocol.h): lets the CLI contract tests
+    // make a worker die by signal deterministically.
+    if (const char* ts = std::getenv("SSTSIM_DAEMON_TEST_SIGNAL")) {
+      req.test_signal = std::atoi(ts);
+    }
+    return run_on_daemon(daemon_socket, req);
   }
-  if (ckpt_wall) sc.checkpoint_wall = *ckpt_wall;
-  if (!ckpt_dir.empty()) sc.checkpoint_dir = ckpt_dir;
-  if (ckpt_keep) sc.checkpoint_keep = *ckpt_keep;
 
   const auto problems = graph.validate(sst::Factory::instance());
   if (!problems.empty()) {
@@ -639,11 +530,9 @@ int main(int argc, char** argv) {
                 << " (snapshot " << ckpt_data.seq << ", t="
                 << ckpt_data.sim_time << " ps)\n";
     }
-    if (sim->config().checkpoint_period > 0 ||
-        sim->config().checkpoint_wall > 0) {
-      sst::ckpt::install_writer(*sim, graph.to_json().dump(),
-                                restarting ? ckpt_data.seq : 0);
-    }
+    sst::ckpt::install_writer(
+        *sim, [&graph] { return graph.to_json().dump(); },
+        restarting ? ckpt_data.seq : 0);
     const sst::RunStats stats = sim->run();
     sst::print_done_line(std::cerr, stats);
     if (!sc.trace_path.empty()) {

@@ -15,10 +15,10 @@ RunRequest sample_request() {
   req.id = "req-42";
   req.model_json = "{\"components\": []}";
   req.out_dir = "/tmp/out dir/with \"quotes\"";
-  req.overrides = {{"/config/seed", "7"}, {"/components/cpu/clock", "2GHz"}};
-  req.ranks = 4;
-  req.end_time = "1ms";
-  req.seed = 1234567890123ULL;
+  // The timeout is also the run's watchdog override.
+  req.overrides = {{"/config/seed", "7"},
+                   {"/components/cpu/clock", "2GHz"},
+                   {"/config/watchdog_seconds", "12.5"}};
   req.timeout_seconds = 12.5;
   req.retries = 3;
   req.backoff_seconds = 0.25;
@@ -40,13 +40,47 @@ TEST(Daemon, RunRequestRoundTrip) {
     return v;
   };
   EXPECT_EQ(sorted(msg.run.overrides), sorted(req.overrides));
-  EXPECT_EQ(msg.run.ranks, req.ranks);
-  EXPECT_EQ(msg.run.end_time, req.end_time);
-  ASSERT_TRUE(msg.run.seed.has_value());
-  EXPECT_EQ(*msg.run.seed, *req.seed);
   EXPECT_DOUBLE_EQ(msg.run.timeout_seconds, req.timeout_seconds);
   EXPECT_EQ(msg.run.retries, req.retries);
   EXPECT_DOUBLE_EQ(msg.run.backoff_seconds, req.backoff_seconds);
+}
+
+TEST(Daemon, RunFieldsAreOverrideAliases) {
+  // An older client's line: its ranks, end and seed fields, and the
+  // timeout, become overrides that win over the same paths in
+  // "overrides".
+  const ClientMessage msg = parse_client_message(
+      R"({"op":"run","model":"{}","out":"/tmp/x",)"
+      R"("overrides":{"/config/seed":"7","/config/num_ranks":"2"},)"
+      R"("ranks":4,"end":"1ms","seed":18446744073709549568,"timeout":12.5})");
+  auto sorted = [](std::vector<std::pair<std::string, std::string>> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  EXPECT_EQ(sorted(msg.run.overrides),
+            sorted({{"/config/seed", "18446744073709549568"},
+                    {"/config/num_ranks", "4"},
+                    {"/config/end_time", "1ms"},
+                    {"/config/watchdog_seconds", "12.5"}}));
+  // "ranks": 0 and "end": "" keep the model's own; no timeout, no
+  // watchdog.
+  const ClientMessage own = parse_client_message(
+      R"({"op":"run","model":"{}","out":"/tmp/x","ranks":0,"end":"",)"
+      R"("timeout":0})");
+  EXPECT_TRUE(own.run.overrides.empty());
+}
+
+TEST(Daemon, RunCountsReadAStringOrANumberAlike) {
+  // The rule of every sweep-spec count: "3" reads as 3.
+  for (const char* fields : {R"("retries":3,"timeout":"7.5","backoff":1)",
+                             R"("retries":"3","timeout":7.5,"backoff":"1")"}) {
+    const ClientMessage msg = parse_client_message(
+        std::string(R"({"op":"run","model":"{}","out":"/tmp/x",)") + fields +
+        "}");
+    EXPECT_EQ(msg.run.retries, 3u) << fields;
+    EXPECT_EQ(msg.run.timeout_seconds, 7.5) << fields;
+    EXPECT_EQ(msg.run.backoff_seconds, 1.0) << fields;
+  }
 }
 
 TEST(Daemon, WorkerJobLineCarriesContentHash) {
@@ -93,7 +127,9 @@ TEST(Daemon, RunOpRejectsBadCountsAndBudgets) {
       R"({"op":"run","model":"{}","out":"/tmp/x",)";
   for (const char* bad :
        {R"("retries":-3})", R"("retries":1.5})", R"("ranks":-1})",
-        R"("backoff":-5})", R"("timeout":-1})", R"("timeout":"1h"})"}) {
+        R"("ranks":2.7})", R"("end":"1 parsec"})", R"("seed":-1})",
+        R"("seed":2.7})", R"("seed":1e30})", R"("backoff":-5})",
+        R"("timeout":-1})", R"("timeout":"1h"})"}) {
     try {
       (void)parse_client_message(head + bad);
       ADD_FAILURE() << "accepted " << bad;

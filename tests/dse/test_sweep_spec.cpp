@@ -65,6 +65,20 @@ TEST(SweepSpec, SingleStepRangeIsJustFrom) {
   EXPECT_EQ(spec.axes[0].values, (std::vector<std::string>{"5"}));
 }
 
+TEST(SweepSpec, HugeAxisValuesFormatWithoutOverflow) {
+  // Values past the long long range print in %g instead of going
+  // through an out-of-range cast.
+  const SweepSpec spec = SweepSpec::from_json_text(R"({
+    "model": "m.json",
+    "axes": [{"path": "/network/x", "values": [1e30, -1e19, 4096]},
+             {"path": "/network/y",
+              "range": {"from": 1, "to": 1e30, "steps": 2}}]
+  })", "");
+  EXPECT_EQ(spec.axes[0].values,
+            (std::vector<std::string>{"1e+30", "-1e+19", "4096"}));
+  EXPECT_EQ(spec.axes[1].values, (std::vector<std::string>{"1", "1e+30"}));
+}
+
 TEST(SweepSpec, RoundTripsThroughJson) {
   const SweepSpec spec = SweepSpec::from_json_text(kMinimal, "/base");
   // to_json stores expanded values, so a re-parse reproduces the spec
@@ -237,6 +251,33 @@ TEST(SweepSpec, RunPolicyAcceptsItsBounds) {
   EXPECT_EQ(spec.run.ranks, 0u);
   EXPECT_EQ(spec.run.timeout_seconds, 0.0);
   EXPECT_EQ(spec.run.backoff_seconds, 0.0);
+}
+
+TEST(SweepSpec, EveryCountReadsAStringOrANumberAlike) {
+  // One rule for every count of a spec: range steps, sample counts and
+  // the run section's counts all take "5" as they take 5 (Q is the quote
+  // or nothing).
+  const std::string text = R"({"model": "m.json",
+      "axes": [{"path": "/network/x",
+                "range": {"from": 1, "to": 9, "steps": Q5Q}}],
+      "sample": {"mode": "random", "count": Q3Q, "seed": Q7Q},
+      "run": {"concurrency": Q4Q, "retries": Q1Q, "ranks": Q2Q,
+              "timeout_seconds": Q30Q}})";
+  for (const char* q : {"", "\""}) {
+    std::string spec_text = text;
+    for (auto at = spec_text.find('Q'); at != std::string::npos;
+         at = spec_text.find('Q', at)) {
+      spec_text.replace(at, 1, q);
+    }
+    const SweepSpec spec = SweepSpec::from_json_text(spec_text, "");
+    EXPECT_EQ(spec.axes[0].values.size(), 5u) << q;
+    EXPECT_EQ(spec.sampling.count, 3u) << q;
+    EXPECT_EQ(spec.sampling.seed, 7u) << q;
+    EXPECT_EQ(spec.run.concurrency, 4u) << q;
+    EXPECT_EQ(spec.run.retries, 1u) << q;
+    EXPECT_EQ(spec.run.ranks, 2u) << q;
+    EXPECT_EQ(spec.run.timeout_seconds, 30.0) << q;
+  }
 }
 
 SweepSpec three_by_three() {

@@ -1,9 +1,12 @@
 // ConfigGraph: validation, JSON round trip, factory-driven build.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "mem/mem_lib.h"
 #include "proc/proc_lib.h"
 #include "sdl/config_graph.h"
+#include "sdl/settings.h"
 
 namespace sst::sdl {
 namespace {
@@ -120,6 +123,23 @@ TEST(ConfigGraph, FromJsonTextFullDocument) {
   sim->run();
   EXPECT_TRUE(
       dynamic_cast<proc::Core*>(sim->find_component("cpu0"))->done());
+}
+
+TEST(ConfigGraph, NumberParamsKeepTheirDigits) {
+  // Component params take the run settings' number text: every digit of
+  // a fraction (1e-9 used to read as "0.000000"), and no out-of-range
+  // cast for a huge value.
+  const ConfigGraph g = ConfigGraph::from_json_text(R"({
+    "components": [{"name": "a", "type": "mem.MemoryController",
+                    "params": {"ber": 1e-9, "big": 1e30, "size": 2048,
+                               "half": 0.5, "on": true}}]
+  })");
+  const Params& p = g.components()[0].params;
+  EXPECT_EQ(*p.raw("ber"), "0.000000001");
+  EXPECT_EQ(*p.raw("big"), "1000000000000000019884624838656");
+  EXPECT_EQ(*p.raw("size"), "2048");
+  EXPECT_EQ(*p.raw("half"), "0.5");
+  EXPECT_EQ(*p.raw("on"), "true");
 }
 
 TEST(ConfigGraph, RankPinningThroughJson) {
@@ -278,6 +298,161 @@ TEST(ConfigGraph, RemovedSyncInputsNameTheRemoval) {
   EXPECT_NO_THROW((void)ConfigGraph::from_json_text(
       R"({"config": {"sync_mode": "conservative"}})"));
   EXPECT_NO_THROW(g.apply_override("/config/sync_mode", "conservative"));
+}
+
+/// An extreme non-default value for each run setting, keyed by override
+/// path.  sync_mode accepts only its default and has none.
+const std::map<std::string, std::string>& extreme_values() {
+  static const std::map<std::string, std::string> values = {
+      {"/config/end_time", "4503599627370496ps"},
+      {"/config/num_ranks", "4294967295"},
+      {"/config/seed", "18446744073709551615"},
+      {"/config/fault_seed", "18446744073709551615"},
+      {"/config/partition", "mincut"},
+      {"/config/rebalance_mode", "on"},
+      {"/config/rebalance_threshold", "1.0000000000000002"},
+      {"/config/rebalance_period", "18446744073709551615"},
+      {"/config/rebalance_max_moves", "4294967295"},
+      {"/config/watchdog_seconds", "1.7976931348623157e308"},
+      {"/config/detect_deadlock", "false"},
+      {"/config/verbose", "true"},
+      {"/observability/trace", "out dir/t\"race\".json"},
+      {"/observability/trace_engine", "true"},
+      {"/observability/metrics", "true"},
+      {"/observability/metrics_period", "1ps"},
+      {"/observability/profile_engine", "true"},
+      {"/observability/stats", "-"},
+      {"/observability/stats_format", "json"},
+      {"/checkpointing/period", "1ps"},
+      {"/checkpointing/wall_seconds", "5e-324"},
+      {"/checkpointing/dir", "ckpt dir"},
+      {"/checkpointing/keep", "4294967295"},
+      {"/network/topology", "dragonfly"},
+      {"/network/x", "4294967295"},
+      {"/network/y", "4294967295"},
+      {"/network/z", "4294967295"},
+      {"/network/concentration", "4294967295"},
+      {"/network/leaves", "4294967295"},
+      {"/network/spines", "4294967295"},
+      {"/network/down", "4294967295"},
+      {"/network/groups", "4294967295"},
+      {"/network/group_routers", "4294967295"},
+      {"/network/group_conc", "4294967295"},
+      {"/network/global_per_router", "4294967295"},
+      {"/network/link_bandwidth", "1TB/s"},
+      {"/network/link_latency", "1ps"},
+      {"/network/hop_latency", "1ps"},
+      {"/network/seed", "18446744073709551615"},
+      {"/network/routing", "valiant"},
+  };
+  return values;
+}
+
+std::string path_of(const Setting& row) {
+  return "/" + std::string(row.section) + "/" + std::string(row.key);
+}
+
+/// A model with an (empty) network, so every section's settings apply.
+JsonValue base_doc() {
+  return JsonValue::parse(R"({"config": {}, "observability": {},
+                              "checkpointing": {},
+                              "network": {"endpoints": []}})");
+}
+
+TEST(ConfigGraph, EverySettingSurvivesEmitReparse) {
+  const ConfigGraph defaults = ConfigGraph::from_json(base_doc());
+  ConfigGraph g = defaults;
+  std::size_t set = 0;
+  for (const Setting& row : settings()) {
+    if (row.print == nullptr || row.key == "sync_mode") continue;
+    const auto it = extreme_values().find(path_of(row));
+    ASSERT_NE(it, extreme_values().end()) << "no value for " << path_of(row);
+    g.apply_override(it->first, it->second);
+    EXPECT_NE(row.print(g), row.print(defaults)) << it->first;
+    ++set;
+  }
+  EXPECT_EQ(set, extreme_values().size());
+  const std::string emitted = g.to_json().dump(2);
+  const ConfigGraph g2 = ConfigGraph::from_json_text(emitted);
+  for (const Setting& row : settings()) {
+    if (row.print == nullptr) continue;
+    EXPECT_EQ(row.print(g2), row.print(g)) << path_of(row);
+  }
+  EXPECT_EQ(g2.sim_config().seed, UINT64_MAX);
+  EXPECT_EQ(g2.network().spec.seed, UINT64_MAX);
+  EXPECT_EQ(g2.to_json().dump(2), emitted);
+}
+
+TEST(ConfigGraph, SdlOverrideAndFlagSetTheSameField) {
+  const ConfigGraph defaults = ConfigGraph::from_json(base_doc());
+  const std::string base = defaults.to_json().dump();
+  for (const auto& [path, value] : extreme_values()) {
+    const std::size_t slash = path.find('/', 1);
+    const std::string section = path.substr(1, slash - 1);
+    const std::string key = path.substr(slash + 1);
+    const Setting* row = find_setting(section, key);
+    ASSERT_NE(row, nullptr) << path;
+    JsonValue doc = base_doc();
+    doc.as_object()[section].as_object()[key] = JsonValue(value);
+    const ConfigGraph from_sdl = ConfigGraph::from_json(doc);
+    ConfigGraph overridden = defaults;
+    overridden.apply_override(path, value);
+    EXPECT_EQ(from_sdl.to_json().dump(), overridden.to_json().dump())
+        << path;
+    EXPECT_NE(from_sdl.to_json().dump(), base) << path;
+    EXPECT_EQ(row->print(from_sdl), row->print(overridden)) << path;
+  }
+  // Each setting flag is the override of a row, and a switch's fixed
+  // value is that row's extreme value above.
+  for (const SettingFlag& f : kSettingFlags) {
+    const auto it = extreme_values().find(std::string(f.path));
+    ASSERT_NE(it, extreme_values().end()) << f.flag;
+    const std::string value = f.fixed != nullptr ? f.fixed : it->second;
+    EXPECT_EQ(value, it->second) << f.flag;
+    EXPECT_NO_THROW(check_setting(f.path, value, f.flag)) << f.flag;
+  }
+  EXPECT_EQ(std::size(kSettingFlags), 20u);
+  // A bad value fails naming the setting as each entry point spells it.
+  JsonValue doc = base_doc();
+  doc.as_object()["checkpointing"] =
+      JsonValue::parse(R"({"keep": -1})");
+  EXPECT_NE(config_error([&] { (void)ConfigGraph::from_json(doc); })
+                .find("checkpointing.keep"),
+            std::string::npos);
+  ConfigGraph g = defaults;
+  EXPECT_NE(config_error([&] { g.apply_override("/checkpointing/keep", "-1"); })
+                .find("/checkpointing/keep"),
+            std::string::npos);
+  EXPECT_NE(config_error([] {
+              check_setting("/checkpointing/keep", "-1", "--checkpoint-keep");
+            }).find("--checkpoint-keep"),
+            std::string::npos);
+}
+
+TEST(ConfigGraph, UnknownSettingKeyListsTheSectionsKeys) {
+  for (const std::string_view section : kSettingSections) {
+    JsonValue doc = base_doc();
+    doc.as_object()[std::string(section)].as_object()["bogus_key"] =
+        JsonValue("1");
+    const std::string parsed =
+        config_error([&] { (void)ConfigGraph::from_json(doc); });
+    ConfigGraph g = ConfigGraph::from_json(base_doc());
+    const std::string overridden = config_error([&] {
+      g.apply_override("/" + std::string(section) + "/bogus_key", "1");
+    });
+    const std::string head =
+        "unknown " + std::string(section) + " key 'bogus_key' (known: ";
+    const std::size_t at = parsed.find(head);
+    ASSERT_NE(at, std::string::npos) << parsed;
+    const std::string known = parsed.substr(at + head.size());
+    for (const Setting& row : settings()) {
+      if (row.section != section || row.print == nullptr) continue;
+      EXPECT_NE(known.find(std::string(row.key)), std::string::npos)
+          << section << ": " << parsed;
+    }
+    EXPECT_NE(overridden.find(head + known), std::string::npos)
+        << overridden;
+  }
 }
 
 }  // namespace

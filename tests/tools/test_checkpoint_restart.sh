@@ -13,6 +13,7 @@
 #      fails with exit 5.
 #   5. A 4-rank run whose period is shorter than its cut-link latency
 #      checkpoints at every mark, and its snapshots resume byte-identically.
+#   6. A u64 seed survives the system description embedded in a snapshot.
 #
 #   test_checkpoint_restart.sh <sstsim> <models_dir>
 set -u
@@ -150,6 +151,21 @@ run sres_last "$SSTSIM" --restart "$WORK/scp" --ranks 4 \
     --stats "$WORK/sres_last.csv"
 check "resume from the newest sub-latency snapshot identical" \
     cmp -s "$WORK/sref.csv" "$WORK/sres_last.csv"
+
+# --- 6: a u64 seed survives the embedded system description ----------
+# The snapshot embeds the seed as text; a JSON number would round it to
+# a double that no longer fits a u64, and the restart would exit 5.
+SEED=18446744073709551615
+run useed_ref "$SSTSIM" "$MODEL" --end 20us --seed "$SEED" \
+    --stats "$WORK/useed_ref.csv"
+run useed_cp "$SSTSIM" "$MODEL" --end 20us --seed "$SEED" \
+    --checkpoint-period 5us --checkpoint-dir "$WORK/ucp" --checkpoint-keep 0
+check "snapshot embeds the u64 seed" \
+    grep -q -a "$SEED" "$WORK/ucp/sim.ckpt.000001"
+run useed_res "$SSTSIM" --restart "$WORK/ucp/sim.ckpt.000001" \
+    --stats "$WORK/useed_res.csv"
+check "resume with a u64 seed identical" \
+    cmp -s "$WORK/useed_ref.csv" "$WORK/useed_res.csv"
 
 if [ "$fail" -ne 0 ]; then exit 1; fi
 echo "ckpt_restart: all checkpoint/restart contracts hold"

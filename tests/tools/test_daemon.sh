@@ -2,7 +2,9 @@
 # sstsimd hardened-lifecycle contract, end to end through the real CLIs:
 #
 #   1. A model submitted through the daemon produces stats.json
-#      byte-identical to a direct `sstsim --stats-format json` run.
+#      byte-identical to a direct `sstsim --stats-format json` run, also
+#      with --override entries and setting flags, which the request
+#      carries as overrides; `--watchdog 0` spools no deadline.
 #   2. Resubmitting a finished request id replays the recorded result
 #      from the ledger instead of re-running it.
 #   3. A request whose worker dies by SIGSEGV is diagnosed (exit 1,
@@ -107,6 +109,45 @@ run "via-daemon" "$SSTSIM" "$MODELS/pingpong.json" --daemon "$SOCK" \
 check "daemon stats byte-identical to direct run" \
   cmp -s "$WORK/direct/stats.json" "$WORK/via/stats.json"
 check "request spooled crash-consistently" test -f "$WORK/via/request.json"
+
+# --override entries and setting flags reach the worker: the request
+# carries them, its stats and trace equal the direct run's with the same
+# ones, and it writes the snapshots they ask for.
+OVERRIDES="--override /config/seed=5 --override /components/rank0/params/msg_bytes=64KiB --end 5us --trace t.json --checkpoint-period 1us"
+mkdir -p "$WORK/direct_ov"
+# shellcheck disable=SC2086
+( cd "$WORK/direct_ov" &&
+  "$SSTSIM" "$MODELS/pingpong.json" $OVERRIDES --stats stats.json \
+      --stats-format json ) > /dev/null 2>&1 ||
+  { echo "daemon: direct run with overrides failed" >&2; fail=1; }
+# shellcheck disable=SC2086
+run "via-daemon-ov" "$SSTSIM" "$MODELS/pingpong.json" $OVERRIDES \
+    --daemon "$SOCK" --daemon-out "$WORK/via_ov"
+check "daemon stats with overrides byte-identical to direct run" \
+  cmp -s "$WORK/direct_ov/stats.json" "$WORK/via_ov/stats.json"
+check "the overrides changed the run" \
+  test "$(cksum < "$WORK/direct/stats.json")" != \
+       "$(cksum < "$WORK/via_ov/stats.json")"
+check "request carries the overrides" \
+  grep -q '"/components/rank0/params/msg_bytes":"64KiB"' \
+      "$WORK/via_ov/request.json"
+check "daemon trace with overrides byte-identical to direct run" \
+  cmp -s "$WORK/direct_ov/t.json" "$WORK/via_ov/t.json"
+check "daemon run wrote its snapshots" \
+  test -f "$WORK/via_ov/ckpt/$(ls "$WORK/direct_ov/ckpt" | tail -1)"
+
+# A watchdog turned off on the command line is no deadline either: the
+# request carries timeout 0 and the user's 0, not the default 300 s.
+for wd in "--watchdog 0" "--override /config/watchdog_seconds=0"; do
+  # shellcheck disable=SC2086
+  run "via-daemon-wd0" "$SSTSIM" "$MODELS/pingpong.json" $wd \
+      --daemon "$SOCK" --daemon-out "$WORK/via_wd0"
+  check "$wd: request has no deadline" \
+    grep -q '"timeout":0,' "$WORK/via_wd0/request.json"
+  check "$wd: request keeps the watchdog off" \
+    grep -q '"/config/watchdog_seconds":"0"' "$WORK/via_wd0/request.json"
+  rm -rf "$WORK/via_wd0"
+done
 
 # ---- 2: finished ids replay from the ledger --------------------------
 run "replay" "$SSTSIM" "$MODELS/pingpong.json" --daemon "$SOCK" \

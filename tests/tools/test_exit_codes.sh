@@ -214,5 +214,84 @@ with_section fseed_neg '"faults": {"seed": -1}'
 expect 2 "sdl faults.seed -1" "$SSTSIM" "$WORK/fseed_neg.json"
 names "sdl faults.seed -1" "fault_seed"
 
+# Run settings: each of the config, observability, checkpointing and
+# network sections rejects a key it does not know, naming it, and a
+# count or wall budget refuses fractions, unit suffixes and negatives
+# from the SDL, from --override and from its flag alike.
+with_section ckpt_typo '"checkpointing": {"perod": "1us"}'
+expect 2 "sdl checkpointing.perod" "$SSTSIM" "$WORK/ckpt_typo.json"
+names "sdl checkpointing.perod" "unknown checkpointing key 'perod'"
+with_section obs_typo '"observability": {"trce": "t.json"}'
+expect 2 "sdl observability.trce" "$SSTSIM" "$WORK/obs_typo.json"
+names "sdl observability.trce" "unknown observability key 'trce'"
+sed 's/"link_latency": "20ns",/"link_latency": "20ns", "linklatency": "5ns",/' \
+    "$MODELS/pingpong.json" > "$WORK/net_typo.json"
+expect 2 "sdl network.linklatency" "$SSTSIM" "$WORK/net_typo.json"
+names "sdl network.linklatency" "unknown network key 'linklatency'"
+expect 2 "override num_ranks 2.7" "$SSTSIM" "$MODELS/pingpong.json" \
+                           --override /config/num_ranks=2.7
+names "override num_ranks 2.7" "/config/num_ranks"
+expect 2 "override num_ranks 2KiB" "$SSTSIM" "$MODELS/pingpong.json" \
+                           --override /config/num_ranks=2KiB
+names "override num_ranks 2KiB" "/config/num_ranks"
+with_config ranks_frac '"num_ranks": 2.7'
+expect 2 "sdl num_ranks 2.7" "$SSTSIM" "$WORK/ranks_frac.json"
+names "sdl num_ranks 2.7" "config.num_ranks"
+expect 2 "override seed 1.5" "$SSTSIM" "$MODELS/pingpong.json" \
+                           --override /config/seed=1.5
+names "override seed 1.5" "/config/seed"
+expect 2 "override watchdog -5" "$SSTSIM" "$MODELS/pingpong.json" \
+                           --override /config/watchdog_seconds=-5
+names "override watchdog -5" "/config/watchdog_seconds"
+with_config watchdog_neg '"watchdog_seconds": -5'
+expect 2 "sdl watchdog_seconds -5" "$SSTSIM" "$WORK/watchdog_neg.json"
+names "sdl watchdog_seconds -5" "config.watchdog_seconds"
+# The daemon always writes <daemon-out>/stats.json, so the stats flags
+# are usage errors with --daemon, refused before any connection.
+expect 2 "daemon + --stats" "$SSTSIM" "$MODELS/pingpong.json" \
+                           --daemon "$WORK/d.sock" --stats "$WORK/s.csv"
+names "daemon + --stats" "--stats"
+expect 2 "daemon + --stats-format" "$SSTSIM" "$MODELS/pingpong.json" \
+                           --daemon "$WORK/d.sock" --stats-format json
+names "daemon + --stats-format" "--stats-format"
+
+# Sweep specs: range steps, sample counts and seeds are whole numbers in
+# range, and no spec expands past the point bound; each bad value is a
+# config error (2) naming its key, never an abort.
+# sweep_points <name> <axes> [<sample>]: a pingpong sweep spec, listed.
+sweep_points() {
+  printf '%s\n' "{\"name\": \"$1\", \"model\": \"$MODELS/pingpong.json\"," \
+    " \"axes\": $2, \"sample\": ${3:-{\"mode\": \"cross\"\}}}" \
+    > "$WORK/$1.json"
+  expect 2 "sweep $1" "$SSTDSE" points "$WORK/$1.json"
+}
+# range_axis <param> <steps>: a range axis over rank<param>'s msg_bytes.
+range_axis() {
+  printf '%s' "{\"path\": \"/components/rank$1/params/msg_bytes\"," \
+    " \"range\": {\"from\": 64, \"to\": 4096, \"steps\": $2}}"
+}
+for steps in -1 1e12 2.5; do
+  sweep_points "steps_$steps" "[$(range_axis 0 "$steps")]"
+  names "sweep steps_$steps" "range.steps"
+done
+sweep_points steps_product "[$(range_axis 0 100000), $(range_axis 1 100000)]"
+names "sweep steps_product" "axes: the cross product"
+# Three axes at the step bound: the second one already fails.
+SEED_AXIS='{"path": "/config/seed", "range": {"from": 1, "to": 1000000, "steps": 1000000}}'
+sweep_points steps_three_max \
+  "[$(range_axis 0 1000000), $(range_axis 1 1000000), $SEED_AXIS]"
+names "sweep steps_three_max" "axes: the cross product"
+VALUES_AXIS='[{"path": "/components/rank0/params/msg_bytes", "values": [64, 128, 256]}]'
+for count in -1 2.5 1e30; do
+  sweep_points "count_$count" "$VALUES_AXIS" \
+    "{\"mode\": \"random\", \"count\": $count}"
+  names "sweep count_$count" "sample.count"
+done
+for seed in -1 1e30; do
+  sweep_points "seed_$seed" "$VALUES_AXIS" \
+    "{\"mode\": \"random\", \"count\": 2, \"seed\": $seed}"
+  names "sweep seed_$seed" "sample.seed"
+done
+
 if [ "$fail" -ne 0 ]; then exit 1; fi
 echo "exit_codes: all codes as documented"
