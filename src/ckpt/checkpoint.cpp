@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <utility>
 
@@ -24,7 +26,7 @@ namespace sst::ckpt {
 namespace fs = std::filesystem;
 
 // ---------------------------------------------------------------------
-// State capture
+// State walk: capture packs and restore unpacks through walk()
 // ---------------------------------------------------------------------
 
 SimTime CheckpointEngine::sim_time(const Simulation& sim) {
@@ -33,191 +35,50 @@ SimTime CheckpointEngine::sim_time(const Simulation& sim) {
   return t;
 }
 
+/// One pending event of a checkpoint list: packing borrows it from an
+/// engine queue, unpacking creates it.
+struct CheckpointEngine::EventSlot {
+  const Event* borrowed = nullptr;
+  EventPtr owned;
+
+  void ckpt_io(Serializer& s) {
+    if (s.packing()) {
+      detail::write_event(s, *borrowed);
+    } else {
+      owned = detail::read_event(s);
+    }
+  }
+};
+
+/// One clock period across every rank.  All armed clocks of a period
+/// share their pending cycle at a cut, and a clock is armed exactly when
+/// it has handlers, so the record needs no rank key.
+struct CheckpointEngine::ClockRecord {
+  SimTime period = 0;
+  Cycle cycle = 0;          // pending tick cycle of the armed clocks
+  std::uint64_t ticks = 0;  // summed over the period's clocks
+  // Handler order by component id.  kInvalidComponent marks the metrics
+  // samplers (the only engine handlers): handlers that came before the
+  // sampler on their rank precede it, the rest follow.
+  std::vector<ComponentId> order;
+
+  void ckpt_io(Serializer& s) { s & period & cycle & ticks & order; }
+};
+
 namespace {
 
-/// Clock tick events are skipped at capture: their schedule is an
-/// engine invariant (next tick = floor(now/period)+1 cycles) and they
-/// hold a pointer into their Clock, so restore re-arms them instead.
+/// Clock tick events are skipped at capture: they hold a pointer into
+/// their Clock, and restore re-arms each clock at its saved cycle.
 [[nodiscard]] bool is_clock_tick(const Event& ev) {
   return (ev.link_id() & Event::kClockSourceBase) != 0;
-}
-
-/// Stable capture order for event sets whose in-memory order is either a
-/// heap layout or thread-interleaving-dependent (mailboxes): the engine's
-/// deterministic total order.  Behaviourally redundant (the vortex pops
-/// in this order and mailbox drains sort), but it makes the checkpoint
-/// bytes themselves reproducible.
-[[nodiscard]] std::vector<const Event*> sorted_events(
-    const std::vector<EventPtr>& events, bool skip_clock_ticks) {
-  std::vector<const Event*> out;
-  out.reserve(events.size());
-  for (const auto& ev : events) {
-    if (skip_clock_ticks && is_clock_tick(*ev)) continue;
-    out.push_back(ev.get());
-  }
-  std::sort(out.begin(), out.end(), [](const Event* a, const Event* b) {
-    return EventOrder{}(*a, *b);
-  });
-  return out;
 }
 
 }  // namespace
 
 std::vector<std::byte> CheckpointEngine::capture(Simulation& sim) {
   Serializer s(Serializer::Mode::kPack);
-
-  std::uint32_t num_ranks = sim.config_.num_ranks;
-  s & num_ranks;
-
-  // --- components: base state + model state --------------------------
-  std::uint64_t ncomp = sim.components_.size();
-  s & ncomp;
-  for (const auto& cp : sim.components_) {
-    Component& c = *cp;
-    std::string name = c.name_;
-    std::uint8_t primary = c.is_primary_ ? 1 : 0;
-    std::uint8_t ok = c.said_ok_ ? 1 : 0;
-    // The rank is dynamic state since online rebalancing: a migrated
-    // component must resume on the rank it was on at the snapshot, not
-    // the one the partitioner would rebuild it on.
-    std::uint32_t rank = c.rank_;
-    s & name & primary & ok & rank & c.trace_seq_ & c.rng_;
-    c.serialize_state(s);
-  }
-
-  // --- links: send sequences, polled-but-unconsumed events, faults ---
-  std::uint64_t nlinks = sim.links_.size();
-  s & nlinks;
-  for (const auto& lp : sim.links_) {
-    Link& l = *lp;
-    s & l.send_seq_;
-    std::uint64_t nq = l.poll_queue_.size();
-    s & nq;
-    for (const auto& ev : l.poll_queue_) detail::write_event(s, *ev);
-    std::uint8_t has_fault = l.fault_ != nullptr ? 1 : 0;
-    s & has_fault;
-    if (l.fault_ != nullptr) l.fault_->serialize(s);
-  }
-
-  // --- clocks: phase, tick count, surviving handler order ------------
-  std::uint64_t nclocks = sim.clocks_.size();
-  s & nclocks;
-  for (const auto& [key, cp] : sim.clocks_) {
-    Clock& c = *cp;
-    std::uint32_t rank = key.first;
-    std::uint64_t period = key.second;
-    std::uint8_t scheduled = c.scheduled_ ? 1 : 0;
-    s & rank & period & c.cycle_ & c.ticks_ & scheduled;
-    std::vector<ComponentId> order;
-    order.reserve(c.handlers_.size());
-    for (const auto& h : c.handlers_) order.push_back(h.comp);
-    s & order;
-  }
-
-  // --- per-rank engine state: time, queues, counters ------------------
-  for (auto& r : sim.ranks_) {
-    s & r.now & r.events & r.mailbox_received & r.barrier_wait_seconds;
-    // The vortex heap stores inline-key nodes; collect the event pointers
-    // (clock ticks skipped, see is_clock_tick above) and sort them into
-    // the engine's deterministic total order for reproducible bytes.
-    std::vector<const Event*> pending;
-    pending.reserve(r.vortex.heap_.size());
-    for (const auto& node : r.vortex.heap_) {
-      if (is_clock_tick(*node.ev)) continue;
-      pending.push_back(node.ev.get());
-    }
-    std::sort(pending.begin(), pending.end(),
-              [](const Event* a, const Event* b) {
-                return EventOrder{}(*a, *b);
-              });
-    std::uint64_t n = pending.size();
-    s & n;
-    for (const Event* ev : pending) detail::write_event(s, *ev);
-    // Counters include the skipped clock ticks; restore overlays them
-    // after re-inserting events so they stay exact.
-    std::uint64_t inserted = r.vortex.inserted_;
-    std::uint64_t depth = r.vortex.max_depth_;
-    s & inserted & depth;
-    const auto mailbox = sorted_events(r.mailbox,
-                                       /*skip_clock_ticks=*/false);
-    std::uint64_t m = mailbox.size();
-    s & m;
-    for (const Event* ev : mailbox) detail::write_event(s, *ev);
-  }
-
-  // --- whole-engine counters ------------------------------------------
-  std::uint64_t cross = sim.cross_rank_events_.load(std::memory_order_relaxed);
-  s & cross & sim.run_stats_.sync_windows & sim.ckpt_taken_ &
-      sim.ckpt_next_mark_;
-  // Rebalance bookkeeping: the epoch phase and the current group's
-  // per-component counts, so a resumed run reproduces the original
-  // run's migration schedule exactly.
-  s & sim.comp_epoch_events_ & sim.rebalance_epoch_ & sim.rebalances_ &
-      sim.comps_migrated_;
-
-  // --- statistics values (identity rebuilt, values overlaid) ----------
-  std::uint64_t nstats = sim.stats_.all().size();
-  s & nstats;
-  for (const auto& st : sim.stats_.all()) {
-    std::string comp = st->component();
-    std::string name = st->name();
-    s & comp & name;
-    st->ckpt_io(s);
-  }
-
-  // --- observability buffers ------------------------------------------
-  std::uint8_t has_tracer = sim.tracer_ != nullptr ? 1 : 0;
-  s & has_tracer;
-  if (sim.tracer_ != nullptr) sim.tracer_->ckpt_io(s);
-  std::uint8_t has_metrics = sim.metrics_ != nullptr ? 1 : 0;
-  s & has_metrics;
-  if (sim.metrics_ != nullptr) sim.metrics_->ckpt_io(s);
-
+  walk(sim, s);
   return std::move(s.buffer());
-}
-
-// ---------------------------------------------------------------------
-// State restore (overlay onto a rebuilt, initialized simulation)
-// ---------------------------------------------------------------------
-
-void CheckpointEngine::fix_handler(Simulation& sim, Event& ev) {
-  const LinkId id = ev.link_id_;
-  if (id >= sim.links_.size()) {
-    throw CheckpointError("checkpoint event has source link id " +
-                          std::to_string(id) + " but the rebuilt model has " +
-                          std::to_string(sim.links_.size()) +
-                          " link endpoints (model/checkpoint mismatch)");
-  }
-  ev.handler_ = &sim.links_[id]->peer_->handler_;
-}
-
-void CheckpointEngine::reorder_clock_handlers(
-    Clock& clock, const std::vector<ComponentId>& order) {
-  std::vector<Clock::Handler> pool = std::move(clock.handlers_);
-  std::vector<char> used(pool.size(), 0);
-  std::vector<Clock::Handler> next;
-  next.reserve(order.size());
-  for (const ComponentId want : order) {
-    bool found = false;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (used[i] == 0 && pool[i].comp == want) {
-        used[i] = 1;
-        next.push_back(std::move(pool[i]));
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      throw CheckpointError(
-          "checkpoint clock state names a handler of component id " +
-          std::to_string(want) +
-          " that the rebuilt model did not register (model/checkpoint "
-          "mismatch)");
-    }
-  }
-  // Handlers left in the pool had unregistered before the snapshot; they
-  // are dropped, matching the uninterrupted run.
-  clock.handlers_ = std::move(next);
 }
 
 void CheckpointEngine::restore(Simulation& sim,
@@ -226,248 +87,180 @@ void CheckpointEngine::restore(Simulation& sim,
     throw CheckpointError(
         "restore requires a freshly initialized simulation");
   }
+  // The rebuild's initial events (first clock ticks, setup sends still
+  // staged in the outboxes) give way to the checkpointed ones.
+  for (auto& r : sim.ranks_) {
+    r.vortex.clear();
+    for (auto& out : r.outbox) out.clear();
+  }
   Serializer s(std::move(state));
-
-  std::uint32_t num_ranks = 0;
-  s & num_ranks;
-  if (num_ranks != sim.config_.num_ranks) {
+  walk(sim, s);
+  if (!s.exhausted()) {
     throw CheckpointError(
-        "checkpoint was written with " + std::to_string(num_ranks) +
-        " rank(s) but this run has " +
-        std::to_string(sim.config_.num_ranks) +
-        "; restart with --ranks " + std::to_string(num_ranks));
+        "checkpoint stream has " +
+        std::to_string(s.buffer().size() - s.cursor()) +
+        " trailing bytes (corrupt checkpoint)");
+  }
+  std::uint32_t ok_count = 0;
+  for (const auto& cp : sim.components_) {
+    if (cp->is_primary_ && cp->said_ok_) ++ok_count;
+  }
+  sim.primary_ok_count_.store(ok_count, std::memory_order_release);
+}
+
+void CheckpointEngine::walk(Simulation& sim, Serializer& s) {
+  const bool unpacking = !s.packing();
+  const std::uint32_t ranks = sim.config_.num_ranks;
+  // A section's element count, which must equal the rebuild's.
+  const auto count = [&s, unpacking](std::uint64_t rebuilt,
+                                     const std::string& what,
+                                     const std::string& hint = "") {
+    std::uint64_t n = rebuilt;
+    s & n;
+    if (unpacking && n != rebuilt) {
+      throw CheckpointError("checkpoint has " + std::to_string(n) + " " +
+                            what + " but the rebuilt model has " +
+                            std::to_string(rebuilt) + hint);
+    }
+  };
+  // Whether an optional part exists, which must match the rebuild.
+  const auto presence = [&s, unpacking](bool rebuilt,
+                                        const std::string& mismatch) {
+    bool present = rebuilt;
+    s & present;
+    if (unpacking && present != rebuilt) throw CheckpointError(mismatch);
+  };
+
+  // --- header: the writer's rank count and the cut time ---------------
+  std::uint32_t writer_ranks = ranks;
+  SimTime now = sim_time(sim);
+  s & writer_ranks & now;
+  const bool same_ranks = writer_ranks == ranks;
+  if (unpacking) {
+    const char* per_rank_flag = sim.config_.profile_engine ? "--profile-engine"
+                                : sim.config_.trace_engine ? "--trace-engine"
+                                                           : nullptr;
+    if (!same_ranks && per_rank_flag != nullptr) {
+      throw CheckpointError(
+          std::string(per_rank_flag) + " output is per rank, so this "
+          "checkpoint resumes only at the " + std::to_string(writer_ranks) +
+          " rank(s) that wrote it (restart with --ranks " +
+          std::to_string(writer_ranks) + ")");
+    }
+    for (auto& r : sim.ranks_) r.now = now;
   }
 
-  // --- components -----------------------------------------------------
-  std::uint64_t ncomp = 0;
-  s & ncomp;
-  if (ncomp != sim.components_.size()) {
-    throw CheckpointError("checkpoint has " + std::to_string(ncomp) +
-                          " components but the rebuilt model has " +
-                          std::to_string(sim.components_.size()));
-  }
-  std::vector<std::pair<ComponentId, RankId>> moved;
+  // --- components: base state + model state.  The rank is a placement
+  // hint: at the writer's rank count it brings back rebalancing moves,
+  // otherwise each component stays where the partitioner put it. -------
+  count(sim.components_.size(), "components");
   for (const auto& cp : sim.components_) {
     Component& c = *cp;
-    std::string name;
-    std::uint8_t primary = 0;
-    std::uint8_t ok = 0;
-    std::uint32_t rank = 0;
-    s & name & primary & ok & rank;
-    if (name != c.name_) {
-      throw CheckpointError("checkpoint component '" + name +
-                            "' does not match rebuilt component '" + c.name_ +
-                            "' (model/checkpoint mismatch)");
+    std::string name = c.name_;
+    bool primary = c.is_primary_;
+    std::uint32_t rank = c.rank_;
+    s & name & primary & c.said_ok_ & rank;
+    if (unpacking) {
+      if (name != c.name_) {
+        throw CheckpointError("checkpoint component '" + name +
+                              "' does not match rebuilt component '" +
+                              c.name_ + "' (model/checkpoint mismatch)");
+      }
+      if (primary != c.is_primary_) {
+        throw CheckpointError("checkpoint primary flag of '" + name +
+                              "' does not match the rebuilt model");
+      }
+      if (rank >= writer_ranks) {
+        throw CheckpointError("checkpoint places component '" + name +
+                              "' on rank " + std::to_string(rank) + " of " +
+                              std::to_string(writer_ranks) +
+                              " (corrupt checkpoint)");
+      }
+      if (same_ranks) c.rank_ = rank;
     }
-    if ((primary != 0) != c.is_primary_) {
-      throw CheckpointError("checkpoint primary flag of '" + name +
-                            "' does not match the rebuilt model");
-    }
-    if (rank >= sim.config_.num_ranks) {
-      throw CheckpointError("checkpoint places component '" + name +
-                            "' on rank " + std::to_string(rank) +
-                            " but this run has only " +
-                            std::to_string(sim.config_.num_ranks) +
-                            " rank(s)");
-    }
-    if (rank != c.rank_) moved.emplace_back(c.id_, rank);
-    c.said_ok_ = (ok != 0);
     s & c.trace_seq_ & c.rng_;
     c.serialize_state(s);
   }
+  if (unpacking) sim.refresh_partition();
 
-  // Apply online-rebalancing migrations that happened before the
-  // snapshot: set the checkpointed rank and move the component's clock
-  // handlers to the destination rank's clocks (created on demand, as
-  // migration created them).  No vortex or arming work is needed — the
-  // clock section below overlays cycle/tick/scheduled state and the
-  // vortices are replaced wholesale.  The handler ORDER within each
-  // clock is also overlaid below, so only membership matters here.
-  for (const auto& [comp_id, to] : moved) {
-    Component& c = *sim.components_[comp_id];
-    const RankId from = c.rank_;
-    c.rank_ = to;
-    std::vector<std::pair<SimTime, Clock::Handler>> relocated;
-    for (auto& [key, clock] : sim.clocks_) {
-      if (key.first != from) continue;
-      auto& handlers = clock->handlers_;
-      for (std::size_t i = 0; i < handlers.size();) {
-        if (handlers[i].comp == comp_id) {
-          relocated.emplace_back(key.second, std::move(handlers[i]));
-          handlers.erase(handlers.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-        } else {
-          ++i;
-        }
-      }
-    }
-    for (auto& [period, handler] : relocated) {
-      // Direct push (not add_handler): restore must not auto-arm.
-      sim.get_clock(to, period)->handlers_.push_back(std::move(handler));
-    }
-  }
-  if (!moved.empty()) sim.refresh_partition();
-
-  // --- links ----------------------------------------------------------
-  std::uint64_t nlinks = 0;
-  s & nlinks;
-  if (nlinks != sim.links_.size()) {
-    throw CheckpointError("checkpoint has " + std::to_string(nlinks) +
-                          " link endpoints but the rebuilt model has " +
-                          std::to_string(sim.links_.size()));
-  }
+  // --- links: send sequences, polled-but-unconsumed events, faults ---
+  count(sim.links_.size(), "link endpoints");
   for (const auto& lp : sim.links_) {
     Link& l = *lp;
     s & l.send_seq_;
-    std::uint64_t nq = 0;
-    s & nq;
-    l.poll_queue_.clear();
-    for (std::uint64_t i = 0; i < nq; ++i) {
-      l.poll_queue_.push_back(detail::read_event(s));
+    std::vector<EventSlot> polled;
+    if (!unpacking) {
+      for (const auto& ev : l.poll_queue_) polled.push_back({ev.get(), {}});
     }
-    std::uint8_t has_fault = 0;
-    s & has_fault;
-    if ((has_fault != 0) != (l.fault_ != nullptr)) {
-      throw CheckpointError(
-          "checkpoint fault-model presence on port '" + l.port_ +
-          "' does not match the rebuilt model (same SDL fault section "
-          "required)");
+    s & polled;
+    if (unpacking) {
+      l.poll_queue_.clear();
+      for (auto& slot : polled) l.poll_queue_.push_back(std::move(slot.owned));
     }
+    presence(l.fault_ != nullptr,
+             "checkpoint fault-model presence on port '" + l.port_ +
+                 "' does not match the rebuilt model (same SDL fault "
+                 "section required)");
     if (l.fault_ != nullptr) l.fault_->serialize(s);
   }
 
-  // --- clocks ---------------------------------------------------------
-  std::uint64_t nclocks = 0;
-  s & nclocks;
-  // With rebalancing the checkpoint may hold MORE clocks than the
-  // rebuild + migration replay produced: a multi-hop migration leaves
-  // empty (handler-less) clocks on intermediate ranks.  Those are
-  // recreated on demand below; fewer checkpointed clocks than rebuilt
-  // ones is still a mismatch.
-  if (nclocks != sim.clocks_.size() &&
-      !(sim.config_.rebalance && nclocks > sim.clocks_.size())) {
-    throw CheckpointError("checkpoint has " + std::to_string(nclocks) +
-                          " clocks but the rebuilt model has " +
-                          std::to_string(sim.clocks_.size()));
-  }
-  std::vector<std::pair<Clock*, bool>> rearm;
-  rearm.reserve(nclocks);
-  for (std::uint64_t i = 0; i < nclocks; ++i) {
-    std::uint32_t rank = 0;
-    std::uint64_t period = 0;
-    s & rank & period;
-    auto it = sim.clocks_.find({rank, period});
-    if (it == sim.clocks_.end()) {
-      if (sim.config_.rebalance && rank < sim.config_.num_ranks) {
-        // Handler-less intermediate clock left behind by migration; the
-        // order list below must be empty (reorder throws otherwise).
-        (void)sim.get_clock(rank, period);
-        it = sim.clocks_.find({rank, period});
-      } else {
-        throw CheckpointError("checkpoint clock (rank " +
-                              std::to_string(rank) + ", period " +
-                              std::to_string(period) +
-                              "ps) not present in the rebuilt model");
-      }
-    }
-    Clock& c = *it->second;
-    std::uint8_t scheduled = 0;
-    s & c.cycle_ & c.ticks_ & scheduled;
-    std::vector<ComponentId> order;
-    s & order;
-    reorder_clock_handlers(c, order);
-    c.scheduled_ = false;  // pending tick dies with the cleared vortex
-    rearm.emplace_back(&c, scheduled != 0);
-  }
+  // --- clocks: one record per period ----------------------------------
+  std::vector<ClockRecord> clocks;
+  if (!unpacking) clocks = gather_clocks(sim);
+  s & clocks;
+  if (unpacking) apply_clocks(sim, clocks);
 
-  // --- per-rank state --------------------------------------------------
-  struct StagedRank {
-    std::vector<EventPtr> pending;
-    std::uint64_t inserted = 0;
-    std::uint64_t max_depth = 0;
-    std::vector<EventPtr> mailbox;
-  };
-  std::vector<StagedRank> staged(sim.ranks_.size());
-  for (std::size_t r = 0; r < sim.ranks_.size(); ++r) {
-    Simulation::RankState& rank = sim.ranks_[r];
-    // The rebuild's initial events (first clock ticks, setup sends still
-    // staged in the outboxes) are replaced wholesale by the checkpointed
-    // queues.
-    rank.vortex.clear();
-    rank.mailbox.clear();
-    for (auto& out : rank.outbox) out.clear();
-    s & rank.now & rank.events & rank.mailbox_received &
-        rank.barrier_wait_seconds;
-    std::uint64_t n = 0;
-    s & n;
-    staged[r].pending.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      staged[r].pending.push_back(detail::read_event(s));
-    }
-    s & staged[r].inserted & staged[r].max_depth;
-    std::uint64_t m = 0;
-    s & m;
-    staged[r].mailbox.reserve(m);
-    for (std::uint64_t i = 0; i < m; ++i) {
-      staged[r].mailbox.push_back(detail::read_event(s));
-    }
-  }
+  // --- pending events: one list in the engine's total order -----------
+  std::vector<EventSlot> pending;
+  if (!unpacking) pending = gather_events(sim);
+  s & pending;
+  if (unpacking) apply_events(sim, pending);
 
-  // Re-arm clocks now that every rank's time is restored.  The invariant
-  // "pending tick cycle = floor(now/period)+1" makes schedule_next(now)
-  // reproduce the exact pending tick event the capture skipped.
-  for (const auto& [clock, scheduled] : rearm) {
-    if (!scheduled) continue;
-    if (clock->handlers_.empty()) {
-      throw CheckpointError(
-          "checkpoint marks a clock scheduled but it has no surviving "
-          "handlers (corrupt checkpoint)");
-    }
-    clock->schedule_next(sim.ranks_[clock->rank_].now);
+  // --- counters --------------------------------------------------------
+  // Rebalance bookkeeping (the epoch phase and the current group's
+  // per-component counts) lets a resumed run reproduce the original
+  // run's migration schedule.
+  std::uint64_t cross = sim.cross_rank_events_.load(std::memory_order_relaxed);
+  std::vector<std::uint64_t> epoch_events = sim.comp_epoch_events_;
+  // (events processed, mailbox events received) per writer rank.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> rank_counts;
+  for (const auto& r : sim.ranks_) {
+    rank_counts.emplace_back(r.events, r.mailbox_received);
   }
-
-  // Insert the checkpointed events (handlers recomputed from their source
-  // links), then overlay the exact queue counters.
-  for (std::size_t r = 0; r < sim.ranks_.size(); ++r) {
-    Simulation::RankState& rank = sim.ranks_[r];
-    for (auto& ev : staged[r].pending) {
-      fix_handler(sim, *ev);
-      rank.vortex.insert(std::move(ev));
-    }
-    rank.vortex.inserted_ = staged[r].inserted;
-    rank.vortex.max_depth_ = static_cast<std::size_t>(staged[r].max_depth);
-    // The original run's heap grew to max_depth; pre-size the restored
-    // heap so the resumed run doesn't re-pay the growth reallocations.
-    rank.vortex.reserve(static_cast<std::size_t>(staged[r].max_depth));
-    for (auto& ev : staged[r].mailbox) {
-      fix_handler(sim, *ev);
-      rank.mailbox.push_back(std::move(ev));
-    }
-  }
-
-  // --- whole-engine counters ------------------------------------------
-  std::uint64_t cross = 0;
   s & cross & sim.run_stats_.sync_windows & sim.ckpt_taken_ &
-      sim.ckpt_next_mark_;
-  s & sim.comp_epoch_events_ & sim.rebalance_epoch_ & sim.rebalances_ &
-      sim.comps_migrated_;
-  sim.cross_rank_events_.store(cross, std::memory_order_relaxed);
-
-  // --- statistics ------------------------------------------------------
-  std::uint64_t nstats = 0;
-  s & nstats;
-  if (nstats != sim.stats_.all().size()) {
-    throw CheckpointError(
-        "checkpoint has " + std::to_string(nstats) +
-        " statistics but the rebuilt model registered " +
-        std::to_string(sim.stats_.all().size()) +
-        " (observability/profiling flags must match the original run)");
+      sim.ckpt_next_mark_ & epoch_events & sim.rebalance_epoch_ &
+      sim.rebalances_ & sim.comps_migrated_ & rank_counts;
+  if (unpacking) {
+    sim.cross_rank_events_.store(cross, std::memory_order_relaxed);
+    // Only a run with a rebalance controller counts per component; the
+    // vector is empty otherwise.  A run keeps its own unless both have
+    // one (the engine indexes it whenever it has a controller).
+    if (epoch_events.size() == sim.comp_epoch_events_.size()) {
+      sim.comp_epoch_events_ = std::move(epoch_events);
+    }
+    if (rank_counts.size() != writer_ranks) {
+      throw CheckpointError("checkpoint has counters for " +
+                            std::to_string(rank_counts.size()) + " of " +
+                            std::to_string(writer_ranks) +
+                            " ranks (corrupt checkpoint)");
+    }
+    // At another rank count the split means nothing: rank 0 takes the
+    // totals, so RunStats still counts the whole run.
+    for (std::size_t r = 0; r < rank_counts.size(); ++r) {
+      auto& rank = sim.ranks_[same_ranks ? r : 0];
+      rank.events += rank_counts[r].first;
+      rank.mailbox_received += rank_counts[r].second;
+    }
   }
+
+  // --- statistics values (identity rebuilt, values overlaid) ----------
+  count(sim.stats_.all().size(), "statistics",
+        " (observability/profiling flags must match the original run)");
   for (const auto& st : sim.stats_.all()) {
-    std::string comp;
-    std::string name;
+    std::string comp = st->component();
+    std::string name = st->name();
     s & comp & name;
-    if (comp != st->component() || name != st->name()) {
+    if (unpacking && (comp != st->component() || name != st->name())) {
       throw CheckpointError("checkpoint statistic '" + comp + "." + name +
                             "' does not match rebuilt statistic '" +
                             st->component() + "." + st->name() + "'");
@@ -476,35 +269,175 @@ void CheckpointEngine::restore(Simulation& sim,
   }
 
   // --- observability buffers ------------------------------------------
-  std::uint8_t has_tracer = 0;
-  s & has_tracer;
-  if ((has_tracer != 0) != (sim.tracer_ != nullptr)) {
-    throw CheckpointError(
-        "checkpoint trace settings do not match this run (enable/disable "
-        "--trace to match the original run)");
-  }
+  presence(sim.tracer_ != nullptr,
+           "checkpoint trace settings do not match this run (enable/"
+           "disable --trace to match the original run)");
   if (sim.tracer_ != nullptr) sim.tracer_->ckpt_io(s);
-  std::uint8_t has_metrics = 0;
-  s & has_metrics;
-  if ((has_metrics != 0) != (sim.metrics_ != nullptr)) {
-    throw CheckpointError(
-        "checkpoint metrics settings do not match this run (enable/disable "
-        "--metrics to match the original run)");
-  }
+  presence(sim.metrics_ != nullptr,
+           "checkpoint metrics settings do not match this run (enable/"
+           "disable --metrics to match the original run)");
   if (sim.metrics_ != nullptr) sim.metrics_->ckpt_io(s);
+}
 
-  // --- derived state ---------------------------------------------------
-  std::uint32_t ok_count = 0;
-  for (const auto& cp : sim.components_) {
-    if (cp->is_primary_ && cp->said_ok_) ++ok_count;
+std::vector<CheckpointEngine::ClockRecord> CheckpointEngine::gather_clocks(
+    const Simulation& sim) {
+  struct Gathered {
+    ClockRecord record;
+    bool sampler = false;
+    std::vector<ComponentId> after;  // behind the sampler on their rank
+  };
+  std::map<SimTime, Gathered> by_period;
+  for (const auto& [key, clock] : sim.clocks_) {
+    Gathered& g = by_period[key.second];
+    g.record.period = key.second;
+    g.record.ticks += clock->ticks_;
+    if (clock->scheduled_) g.record.cycle = clock->cycle_;
+    bool past_sampler = false;
+    for (const auto& h : clock->handlers_) {
+      if (h.comp == kInvalidComponent) {
+        past_sampler = g.sampler = true;
+      } else {
+        (past_sampler ? g.after : g.record.order).push_back(h.comp);
+      }
+    }
   }
-  sim.primary_ok_count_.store(ok_count, std::memory_order_release);
+  std::vector<ClockRecord> records;
+  for (auto& [period, g] : by_period) {
+    if (g.sampler) g.record.order.push_back(kInvalidComponent);
+    g.record.order.insert(g.record.order.end(), g.after.begin(),
+                          g.after.end());
+    records.push_back(std::move(g.record));
+  }
+  return records;
+}
 
-  if (!s.exhausted()) {
-    throw CheckpointError(
-        "checkpoint stream has " +
-        std::to_string(s.buffer().size() - s.cursor()) +
-        " trailing bytes (corrupt checkpoint)");
+void CheckpointEngine::apply_clocks(Simulation& sim,
+                                    std::vector<ClockRecord>& records) {
+  // Every rebuilt handler by period, from every rank; each rank's
+  // metrics sampler waits apart.  The pending ticks went with the
+  // cleared vortices.
+  struct Rebuilt {
+    std::vector<Clock::Handler> handlers;
+    std::vector<std::pair<RankId, Clock::Handler>> samplers;
+  };
+  std::map<SimTime, Rebuilt> rebuilt;
+  for (auto& [key, clock] : sim.clocks_) {
+    Rebuilt& r = rebuilt[key.second];
+    for (auto& h : clock->handlers_) {
+      if (h.comp == kInvalidComponent) {
+        r.samplers.emplace_back(key.first, std::move(h));
+      } else {
+        r.handlers.push_back(std::move(h));
+      }
+    }
+    clock->handlers_.clear();
+    clock->scheduled_ = false;
+  }
+  SimTime prev = 0;
+  for (const ClockRecord& rec : records) {
+    if (rec.period <= prev) {
+      throw CheckpointError(
+          "checkpoint clock periods are not strictly ascending (corrupt "
+          "checkpoint)");
+    }
+    prev = rec.period;
+    auto node = rebuilt.extract(rec.period);
+    Rebuilt pool = node.empty() ? Rebuilt{} : std::move(node.mapped());
+    const auto sampling_mismatch = [&rec] {
+      return CheckpointError(
+          "checkpoint clock of period " + std::to_string(rec.period) +
+          "ps does not match this run's metrics sampling (same --metrics "
+          "and --metrics-period as the original run required)");
+    };
+
+    // Push the handlers back in saved order, each onto the clock of the
+    // rank its component lives on now, and each rank's sampler at the
+    // marker.  Handlers the order does not name had unregistered before
+    // the snapshot; they are dropped, as in the uninterrupted run.
+    std::vector<Clock*> armed;
+    const auto push = [&sim, &rec, &armed](RankId rank, Clock::Handler h) {
+      Clock* clock = sim.get_clock(rank, rec.period);
+      if (clock->handlers_.empty()) armed.push_back(clock);
+      clock->handlers_.push_back(std::move(h));
+    };
+    bool marker = false;
+    for (const ComponentId id : rec.order) {
+      if (id == kInvalidComponent) {
+        if (marker || pool.samplers.empty()) throw sampling_mismatch();
+        marker = true;
+        for (auto& [rank, h] : pool.samplers) push(rank, std::move(h));
+        continue;
+      }
+      const auto it = std::find_if(
+          pool.handlers.begin(), pool.handlers.end(),
+          [id](const Clock::Handler& h) { return h.comp == id; });
+      if (it == pool.handlers.end()) {
+        throw CheckpointError(
+            "checkpoint clock state names a handler of component id " +
+            std::to_string(id) +
+            " that the rebuilt model did not register (model/checkpoint "
+            "mismatch)");
+      }
+      push(sim.components_[id]->rank_, std::move(*it));
+      pool.handlers.erase(it);
+    }
+    if (!marker && !pool.samplers.empty()) throw sampling_mismatch();
+
+    // Arm each clock that got a handler at the saved cycle; the summed
+    // tick count goes to one clock of the period.
+    for (Clock* clock : armed) {
+      if (rec.cycle == 0 || rec.cycle > kTimeNever / rec.period) {
+        throw CheckpointError(
+            "checkpoint clock of period " + std::to_string(rec.period) +
+            "ps has handlers but pending cycle " +
+            std::to_string(rec.cycle) + " (corrupt checkpoint)");
+      }
+      clock->schedule_next((rec.cycle - 1) * rec.period);
+    }
+    (armed.empty() ? sim.get_clock(0, rec.period) : armed.front())->ticks_ =
+        rec.ticks;
+  }
+  if (!rebuilt.empty()) {
+    throw CheckpointError("the rebuilt model has a clock of period " +
+                          std::to_string(rebuilt.begin()->first) +
+                          "ps that the checkpoint lacks (model/checkpoint "
+                          "mismatch)");
+  }
+}
+
+std::vector<CheckpointEngine::EventSlot> CheckpointEngine::gather_events(
+    const Simulation& sim) {
+  std::vector<EventSlot> pending;
+  for (const auto& r : sim.ranks_) {
+    for (const auto& node : r.vortex.heap_) {
+      if (!is_clock_tick(*node.ev)) pending.push_back({node.ev.get(), {}});
+    }
+  }
+  // The engine's total order, so the bytes depend on neither the heap
+  // layout nor the rank count.
+  std::sort(pending.begin(), pending.end(),
+            [](const EventSlot& a, const EventSlot& b) {
+              return EventOrder{}(*a.borrowed, *b.borrowed);
+            });
+  return pending;
+}
+
+void CheckpointEngine::apply_events(Simulation& sim,
+                                    std::vector<EventSlot>& pending) {
+  for (EventSlot& slot : pending) {
+    Event& ev = *slot.owned;
+    const LinkId id = ev.link_id_;
+    if (id >= sim.links_.size() || sim.links_[id]->peer_ == nullptr) {
+      throw CheckpointError(
+          "checkpoint event has source link id " + std::to_string(id) +
+          ", which is not a connected link endpoint of the rebuilt model "
+          "(model/checkpoint mismatch)");
+    }
+    // Handler recomputed from the source link; the event waits on the
+    // rank its target component lives on in this run.
+    ev.handler_ = &sim.links_[id]->peer_->handler_;
+    const RankId rank = sim.components_[sim.link_target_[id]]->rank_;
+    sim.ranks_[rank].vortex.insert(std::move(slot.owned));
   }
 }
 
@@ -563,7 +496,8 @@ struct Snapshot {
 };
 
 /// Files named "<base>.ckpt.<digits>" in `dir`, newest (highest seq)
-/// first.  Non-matching files are ignored.
+/// first.  Non-matching files are ignored, including names whose digits
+/// do not fit a u64.
 [[nodiscard]] std::vector<Snapshot> scan_checkpoints(const fs::path& dir) {
   std::vector<Snapshot> out;
   std::error_code ec;
@@ -577,7 +511,11 @@ struct Snapshot {
         suffix.find_first_not_of("0123456789") != std::string::npos) {
       continue;
     }
-    out.push_back({std::stoull(suffix), entry.path()});
+    std::uint64_t seq = 0;
+    const char* end = suffix.data() + suffix.size();
+    const auto [ptr, err] = std::from_chars(suffix.data(), end, seq);
+    if (err != std::errc{} || ptr != end) continue;
+    out.push_back({seq, entry.path()});
   }
   std::sort(out.begin(), out.end(), [](const Snapshot& a, const Snapshot& b) {
     if (a.seq != b.seq) return a.seq > b.seq;

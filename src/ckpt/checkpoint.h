@@ -11,9 +11,12 @@
 // Restore is a *rebuild + overlay*: the restarting process re-executes
 // construction and initialization from the embedded graph (which is
 // deterministic), then the state blob overlays every dynamic field.  The
-// restored run is byte-identical to the uninterrupted run — same stats,
-// same trace, same metrics — at any rank count equal to the one that
-// wrote the snapshot.
+// blob has no rank keys — one pending-event list, one record per clock
+// period, run-wide counters, and each component's rank as a placement
+// hint — so a snapshot resumes at any rank count, byte-identical to the
+// uninterrupted run: same stats, same trace, same metrics.  Only
+// --profile-engine and --trace-engine, whose output is per rank, need
+// the rank count that wrote the snapshot.
 //
 // Files are written crash-consistently (temp file + fsync + atomic
 // rename + directory fsync) with rotating last-K retention; the header
@@ -32,16 +35,16 @@
 #include "core/types.h"
 
 namespace sst {
-class Clock;
 class Simulation;
 }  // namespace sst
 
 namespace sst::ckpt {
 
 /// On-disk format version; bumped on any incompatible layout change.
-/// v2: per-component rank (online rebalancing moves components, so the
-/// partition is dynamic state) + rebalance bookkeeping counters.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+/// v3: no rank keys — one pending-event list, one record per clock
+/// period, run-wide counters; a component's rank is a placement hint
+/// honoured at the writer's rank count.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// One decoded checkpoint: header metadata + payload sections.
 struct CheckpointData {
@@ -64,20 +67,29 @@ class CheckpointEngine {
   [[nodiscard]] static std::vector<std::byte> capture(Simulation& sim);
 
   /// Overlays a captured state blob onto a freshly initialized rebuild
-  /// of the same configuration graph.  Throws CheckpointError on any
-  /// mismatch (rank count, topology, stream corruption).
+  /// of the same configuration graph, at any rank count.  Throws
+  /// CheckpointError on any mismatch (topology, settings, stream
+  /// corruption) and when --profile-engine or --trace-engine asks for a
+  /// rank count other than the writer's.
   static void restore(Simulation& sim, std::vector<std::byte> state);
 
   /// Largest per-rank simulated time (snapshot metadata).
   [[nodiscard]] static SimTime sim_time(const Simulation& sim);
 
  private:
-  /// Recomputes a restored event's handler pointer from its source link.
-  static void fix_handler(Simulation& sim, Event& ev);
-  /// Reorders a rebuilt clock's handler list to the checkpointed order,
-  /// dropping handlers that had unregistered before the snapshot.
-  static void reorder_clock_handlers(Clock& clock,
-                                     const std::vector<ComponentId>& order);
+  struct ClockRecord;
+  struct EventSlot;
+
+  /// The one walk over the state blob: capture packs through it, restore
+  /// unpacks through it, and checks run only when unpacking.
+  static void walk(Simulation& sim, Serializer& s);
+  // The clock and event sections: gather on pack, apply on unpack.
+  [[nodiscard]] static std::vector<ClockRecord> gather_clocks(
+      const Simulation& sim);
+  static void apply_clocks(Simulation& sim, std::vector<ClockRecord>& records);
+  [[nodiscard]] static std::vector<EventSlot> gather_events(
+      const Simulation& sim);
+  static void apply_events(Simulation& sim, std::vector<EventSlot>& pending);
 };
 
 /// File name of snapshot `seq` inside a checkpoint directory.

@@ -103,6 +103,20 @@ class Serializer {
     return *this;
   }
 
+  /// One byte, 0 or 1; any other byte is a corrupt stream (loading it
+  /// into a bool would be undefined behaviour).
+  Serializer& operator&(bool& v) {
+    std::uint8_t b = v ? 1 : 0;
+    raw(&b, 1);
+    if (b > 1) {
+      throw CheckpointError("checkpoint stream corrupt: bool byte " +
+                            std::to_string(b) + " at offset " +
+                            std::to_string(cursor_ - 1));
+    }
+    v = b != 0;
+    return *this;
+  }
+
   // --- structs providing void ckpt_io(Serializer&) -------------------
 
   template <typename T>
@@ -141,9 +155,9 @@ class Serializer {
     (*this) & n;
     if (!packing()) v.resize(check_count(n, 1));
     for (std::size_t i = 0; i < v.size(); ++i) {
-      std::uint8_t b = packing() ? (v[i] ? 1 : 0) : 0;
+      bool b = v[i];
       (*this) & b;
-      if (!packing()) v[i] = (b != 0);
+      v[i] = b;
     }
     return *this;
   }
@@ -157,6 +171,25 @@ class Serializer {
       v.resize(check_count(n, min_element_bytes<T>()));
     }
     for (auto& e : v) (*this) & e;
+    return *this;
+  }
+
+  /// Per-rank buffers as one list, in the layout of a single vector:
+  /// packing concatenates `parts`, unpacking reads the list into
+  /// parts.front() and clears the rest.  For buffers whose split across
+  /// ranks does not survive a change of rank count.
+  template <typename T>
+  Serializer& concat(std::vector<std::vector<T>>& parts) {
+    if (!packing()) {
+      for (auto& p : parts) p.clear();
+      return (*this) & parts.front();
+    }
+    std::uint64_t n = 0;
+    for (const auto& p : parts) n += p.size();
+    (*this) & n;
+    for (auto& p : parts) {
+      for (auto& e : p) (*this) & e;
+    }
     return *this;
   }
 

@@ -48,8 +48,6 @@ class TimeVortex {
     heap_.push_back(Node{e.delivery_time_, e.priority_, e.link_id_,
                          e.order_, std::move(ev)});
     sift_up(heap_.size() - 1);
-    ++inserted_;
-    if (heap_.size() > max_depth_) max_depth_ = heap_.size();
   }
 
   /// Removes and returns the earliest event.  Empty queue is a programming
@@ -72,7 +70,7 @@ class TimeVortex {
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
   /// Drops every pending event (checkpoint restore replaces the queue
-  /// wholesale).  Counters are left for the caller to overlay.
+  /// wholesale).
   void clear() { heap_.clear(); }
 
   /// Removes every event whose *source id* satisfies `pred(LinkId)` and
@@ -102,17 +100,8 @@ class TimeVortex {
     return out;
   }
 
-  /// Pre-sizes the heap storage (e.g. to a restored high-water mark).
-  void reserve(std::size_t n) { heap_.reserve(n); }
-
-  /// Total number of insertions over the vortex's lifetime.
-  [[nodiscard]] std::uint64_t total_inserted() const { return inserted_; }
-
-  /// High-water mark of the queue depth.
-  [[nodiscard]] std::size_t max_depth() const { return max_depth_; }
-
  private:
-  friend class ckpt::CheckpointEngine;  // heap capture/counter overlay
+  friend class ckpt::CheckpointEngine;  // reads the heap at capture
 
   /// One heap slot: the 24-byte ordering key inline, then the event.
   struct Node {
@@ -169,8 +158,6 @@ class TimeVortex {
   }
 
   std::vector<Node> heap_;
-  std::uint64_t inserted_ = 0;
-  std::size_t max_depth_ = 0;
 };
 
 }  // namespace sst

@@ -17,7 +17,7 @@ void MetricsCollector::EngineSample::ckpt_io(ckpt::Serializer& s) {
 }
 
 void MetricsCollector::ckpt_io(ckpt::Serializer& s) {
-  s & per_rank_ & engine_;
+  s.concat(per_rank_) & engine_;
 }
 
 MetricsCollector::MetricsCollector(unsigned num_ranks)

@@ -48,7 +48,9 @@ class MetricsCollector {
   void write_jsonl(std::ostream& os, const TraceResolver& resolver) const;
 
   /// Checkpoint hook: (un)packs the buffered snapshots so a restarted
-  /// run's metrics stream matches the uninterrupted one.
+  /// run's metrics stream matches the uninterrupted one.  The per-rank
+  /// buffers travel as one list and come back in rank 0's buffer:
+  /// write_jsonl sorts by a unique key, so the split never shows.
   void ckpt_io(ckpt::Serializer& s);
 
  private:

@@ -21,7 +21,7 @@ void MigrationRecord::ckpt_io(ckpt::Serializer& s) {
 }
 
 void Tracer::ckpt_io(ckpt::Serializer& s) {
-  s & per_rank_ & windows_ & migrations_;
+  s.concat(per_rank_) & windows_ & migrations_;
 }
 
 Tracer::Tracer(unsigned num_ranks) : per_rank_(num_ranks) {}

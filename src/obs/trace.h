@@ -119,7 +119,9 @@ class Tracer {
   void write_json(std::ostream& os, const TraceResolver& resolver) const;
 
   /// Checkpoint hook: (un)packs the buffered records so a restarted run
-  /// emits a trace identical to the uninterrupted one.
+  /// emits a trace identical to the uninterrupted one.  The per-rank
+  /// buffers travel as one list and come back in rank 0's buffer:
+  /// write_json sorts by a unique key, so the split never shows.
   void ckpt_io(ckpt::Serializer& s);
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -23,6 +24,40 @@ void read_scalar_params(const JsonValue& jp, const std::string& ctx,
   for (const auto& [k, v] : jp.as_object()) {
     what.assign(ctx).append(" param '").append(k).append("'");
     out.set(k, setting_text(v, what));
+  }
+}
+
+// The members each JSON object of a description may have.  The settings
+// sections check their own keys (read_settings); component params and
+// the vm tlb/walker defaults are free-form.
+constexpr std::string_view kDocumentKeys[] = {
+    "config", "observability", "checkpointing", "network",
+    "components", "links", "vm", "faults"};
+constexpr std::string_view kComponentKeys[] = {"name", "type", "params",
+                                               "rank"};
+constexpr std::string_view kLinkKeys[] = {"from", "from_port", "to",
+                                          "to_port", "latency",
+                                          "latency_back"};
+constexpr std::string_view kVmKeys[] = {"enable", "tlb", "walker"};
+constexpr std::string_view kFaultsKeys[] = {"seed", "links", "ports"};
+constexpr std::string_view kLinkFaultKeys[] = {
+    "component", "port", "drop", "duplicate", "delay", "delay_min",
+    "delay_max", "both"};
+constexpr std::string_view kPortFaultKeys[] = {"router", "port", "fail_at",
+                                               "heal_at"};
+
+/// Rejects a member of `obj` that `known` does not list, naming it and
+/// the known ones: "unknown <what> key '<key>' (known: ...)".
+void check_members(const JsonValue& obj, std::string_view what,
+                   std::span<const std::string_view> known) {
+  for (const auto& [key, value] : obj.as_object()) {
+    if (std::ranges::find(known, key) != known.end()) continue;
+    std::string list;
+    for (const std::string_view k : known) {
+      list.append(list.empty() ? "" : ", ").append(k);
+    }
+    throw ConfigError("unknown " + std::string(what) + " key '" + key +
+                      "' (known: " + list + ")");
   }
 }
 
@@ -274,11 +309,13 @@ ConfigGraph ConfigGraph::from_json_text(std::string_view text) {
 
 ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
   ConfigGraph graph;
+  check_members(doc, "top-level", kDocumentKeys);
   for (const std::string_view section : kSettingSections) {
     if (doc.has(section)) read_settings(graph, section, doc.at(section));
   }
   if (doc.has("components")) {
     for (const auto& jc : doc.at("components").as_array()) {
+      check_members(jc, "component", kComponentKeys);
       ConfigComponent cc;
       cc.name = jc.at("name").as_string();
       cc.type = jc.at("type").as_string();
@@ -302,6 +339,7 @@ ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
   }
   if (doc.has("links")) {
     for (const auto& jl : doc.at("links").as_array()) {
+      check_members(jl, "link", kLinkKeys);
       ConfigLink cl;
       cl.from = jl.at("from").as_string();
       cl.from_port = jl.at("from_port").as_string();
@@ -316,6 +354,7 @@ ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
   }
   if (doc.has("vm")) {
     const JsonValue& jv = doc.at("vm");
+    check_members(jv, "vm", kVmKeys);
     ConfigVm& vm = graph.vm_;
     vm.present = true;
     vm.enable = jv.get_bool("enable", true);
@@ -328,6 +367,7 @@ ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
   }
   if (doc.has("faults")) {
     const JsonValue& jf = doc.at("faults");
+    check_members(jf, "faults", kFaultsKeys);
     if (jf.has("seed")) {
       // An alias of config.fault_seed, read after (so winning over) it.
       const std::string what = "faults.seed (config.fault_seed)";
@@ -336,6 +376,7 @@ ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
     }
     if (jf.has("links")) {
       for (const auto& jl : jf.at("links").as_array()) {
+        check_members(jl, "link fault", kLinkFaultKeys);
         ConfigLinkFault lf;
         lf.component = jl.at("component").as_string();
         lf.port = jl.at("port").as_string();
@@ -350,6 +391,7 @@ ConfigGraph ConfigGraph::from_json(const JsonValue& doc) {
     }
     if (jf.has("ports")) {
       for (const auto& jp : jf.at("ports").as_array()) {
+        check_members(jp, "port fault", kPortFaultKeys);
         ConfigPortFault pf;
         pf.router = jp.at("router").as_string();
         pf.port = static_cast<std::uint32_t>(

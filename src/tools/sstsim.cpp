@@ -27,7 +27,7 @@
 //   --checkpoint-keep <n>    rotating retention (default 3)
 //   --restart <path>     resume from a checkpoint file or directory
 //                        (replaces <system.json>; outputs byte-identical
-//                        to the uninterrupted run)
+//                        to the uninterrupted run at any --ranks)
 //   --sweep <spec.json>  run a design-space sweep (shorthand for sstdse
 //                        run; points run on forked worker processes)
 //   --sweep-out <dir>    sweep output directory (default <spec>.sweep)
@@ -134,7 +134,10 @@ int help(const char* argv0) {
       "  --restart PATH             resume from a checkpoint file or from\n"
       "                             the newest intact snapshot in a\n"
       "                             directory; a corrupt file falls back to\n"
-      "                             the newest intact sibling\n"
+      "                             the newest intact sibling.  Any --ranks\n"
+      "                             resumes it; with --profile-engine or\n"
+      "                             --trace-engine, only the rank count\n"
+      "                             that wrote it\n"
       "\nParallel runs (--ranks N > 1; see DESIGN.md):\n"
       "  Ranks synchronize at the exact causal horizon: a window ends\n"
       "  where the earliest cross-rank event of the next window could\n"

@@ -127,6 +127,31 @@ TEST_F(CheckpointFileTest, LoadPicksNewestFromDirectory) {
   EXPECT_EQ(used, path_of(11));
 }
 
+// A name whose digits do not fit a u64 is not a snapshot name: loading
+// and rotation skip it like any other stray file.
+constexpr const char* kOverflowingName = "sim.ckpt.99999999999999999999999";
+
+TEST_F(CheckpointFileTest, LoadPicksNewestPastOverflowingName) {
+  std::ofstream(dir_ / kOverflowingName) << "stray";
+  write_checkpoint_file(dir_.string(), make_data(3), 9);
+  write_checkpoint_file(dir_.string(), make_data(5), 9);
+  std::string used;
+  const CheckpointData out = load_checkpoint(dir_.string(), &used);
+  EXPECT_EQ(out.seq, 5U);
+  EXPECT_EQ(used, path_of(5));
+}
+
+TEST_F(CheckpointFileTest, RotationIgnoresOverflowingName) {
+  std::ofstream(dir_ / kOverflowingName) << "stray";
+  for (std::uint64_t seq = 1; seq <= 4; ++seq) {
+    write_checkpoint_file(dir_.string(), make_data(seq), 2);
+  }
+  EXPECT_FALSE(fs::exists(path_of(2)));
+  EXPECT_TRUE(fs::exists(path_of(3)));
+  EXPECT_TRUE(fs::exists(path_of(4)));
+  EXPECT_TRUE(fs::exists(dir_ / kOverflowingName));
+}
+
 TEST_F(CheckpointFileTest, LoadFallsBackPastCorruptNewest) {
   write_checkpoint_file(dir_.string(), make_data(1), 9);
   write_checkpoint_file(dir_.string(), make_data(2), 9);

@@ -288,6 +288,26 @@ TEST(SerializerCorrupt, HugeContainerCountRejectedWithoutAllocation) {
   EXPECT_THROW(unpack2 & sout, CheckpointError);
 }
 
+TEST(SerializerCorrupt, NonBooleanByteRejected) {
+  // A bool travels as one byte, 0 or 1.  Any other byte is a corrupt
+  // stream, never a load of an invalid bool.
+  for (const int byte : {2, 0x80, 0xff}) {
+    Serializer pack(Serializer::Mode::kPack);
+    auto raw = static_cast<std::uint8_t>(byte);
+    pack & raw;
+    Serializer unpack(std::move(pack.buffer()));
+    bool flag = false;
+    EXPECT_THROW(unpack & flag, CheckpointError) << "byte " << byte;
+  }
+  for (const bool flag : {false, true}) {
+    Serializer pack(Serializer::Mode::kPack);
+    bool in = flag;
+    pack & in;
+    ASSERT_EQ(pack.buffer().size(), 1U);
+    EXPECT_EQ(pack.buffer()[0], flag ? std::byte{1} : std::byte{0});
+  }
+}
+
 TEST(SerializerCorrupt, UnknownEventTagThrows) {
   mem::register_library();
   auto ev = std::make_unique<mem::MemEvent>(mem::MemCmd::kGetX, 64, 8, 7);

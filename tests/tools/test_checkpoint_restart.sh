@@ -14,6 +14,12 @@
 #   5. A 4-rank run whose period is shorter than its cut-link latency
 #      checkpoints at every mark, and its snapshots resume byte-identically.
 #   6. A u64 seed survives the system description embedded in a snapshot.
+#   7. A snapshot resumes at any rank count: pingpong snapshots written
+#      at 1, 2 and 4 ranks resume at 1, 2 and 4 ranks, and a 4-rank
+#      node_ddr3 snapshot at 1 and 2 ranks, byte-identical to the plain
+#      one-rank run in stats, trace and metrics.
+#   8. A stray file whose name overflows a u64 ("sim.ckpt.999...") is
+#      not a snapshot: rotation and restart skip it.
 #
 #   test_checkpoint_restart.sh <sstsim> <models_dir>
 set -u
@@ -21,6 +27,7 @@ set -u
 SSTSIM="${1:?usage: test_checkpoint_restart.sh <sstsim> <models_dir>}"
 MODELS="${2:?missing models dir}"
 MODEL="$MODELS/pingpong.json"
+DDR3="$MODELS/../../../examples/systems/node_ddr3.json"
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -166,6 +173,65 @@ run useed_res "$SSTSIM" --restart "$WORK/ucp/sim.ckpt.000001" \
     --stats "$WORK/useed_res.csv"
 check "resume with a u64 seed identical" \
     cmp -s "$WORK/useed_ref.csv" "$WORK/useed_res.csv"
+
+# --- 7: a snapshot resumes at any rank count -------------------------
+# resume_everywhere <label> <ref prefix> <snapshot dir> <ranks...>: the
+# first and the newest snapshot resumed at each rank count must match
+# <ref prefix>.csv/.trace/.json.
+resume_everywhere() {
+  # (sh has no locals: names distinct from run's and check's "label")
+  what="$1"; ref="$2"; dir="$3"; shift 3
+  check "$what wrote more than one snapshot" \
+      test "$(ls "$dir" | wc -l)" -ge 2
+  first="$dir/$(ls "$dir" | head -1)"
+  for r in "$@"; do
+    for snap in "$first" "$dir"; do
+      run "$what.r$r" "$SSTSIM" --restart "$snap" --ranks "$r" \
+          --stats "$WORK/any.csv" --trace "$WORK/any.trace" \
+          --metrics "$WORK/any.json" || continue
+      for f in csv trace json; do
+        check "$what $(basename "$snap") resumed at $r ranks ($f)" \
+            cmp -s "$ref.$f" "$WORK/any.$f"
+      done
+    done
+  done
+}
+run x_ref "$SSTSIM" "$MODEL" --ranks 1 --stats "$WORK/x_ref.csv" \
+    --trace "$WORK/x_ref.trace" --metrics "$WORK/x_ref.json"
+for w in 1 2 4; do
+  run "x_w$w" "$SSTSIM" "$MODEL" --ranks "$w" --stats /dev/null \
+      --trace "$WORK/x_w$w.trace" --metrics "$WORK/x_w$w.json" \
+      --checkpoint-period 200us --checkpoint-dir "$WORK/xcp$w" \
+      --checkpoint-keep 0
+  resume_everywhere "pingpong.w$w" "$WORK/x_ref" "$WORK/xcp$w" 1 2 4
+done
+# The 500ps metrics period shares the core's clock, so the sampler's
+# place among the core's handlers shows in the metrics.
+run d_ref "$SSTSIM" "$DDR3" --ranks 1 --end 10us --metrics-period 500ps \
+    --stats "$WORK/d_ref.csv" --trace "$WORK/d_ref.trace" \
+    --metrics "$WORK/d_ref.json"
+run d_w4 "$SSTSIM" "$DDR3" --ranks 4 --end 10us --metrics-period 500ps \
+    --stats /dev/null --trace "$WORK/d_w4.trace" \
+    --metrics "$WORK/d_w4.json" --checkpoint-period 2us \
+    --checkpoint-dir "$WORK/dcp" --checkpoint-keep 0
+resume_everywhere "node_ddr3.w4" "$WORK/d_ref" "$WORK/dcp" 1 2
+
+# --- 8: a name that overflows a u64 is not a snapshot ----------------
+mkdir -p "$WORK/stray"
+touch "$WORK/stray/sim.ckpt.99999999999999999999999"
+run stray_w "$SSTSIM" "$MODEL" --ranks 2 --end 20us \
+    --checkpoint-period 2us --checkpoint-dir "$WORK/stray" \
+    --checkpoint-keep 2 --stats "$WORK/stray_ref.csv"
+if grep -q "checkpoint write failed" "$WORK/stray_w.err"; then
+  echo "ckpt_restart: FAIL: a stray name made checkpoint writes fail" >&2
+  fail=1
+fi
+check "rotation keeps two snapshots beside the stray name" \
+    test "$(ls "$WORK/stray" | wc -l)" -eq 3
+run stray_r "$SSTSIM" --restart "$WORK/stray" --ranks 2 \
+    --stats "$WORK/stray.csv"
+check "restart past a stray name identical" \
+    cmp -s "$WORK/stray_ref.csv" "$WORK/stray.csv"
 
 if [ "$fail" -ne 0 ]; then exit 1; fi
 echo "ckpt_restart: all checkpoint/restart contracts hold"

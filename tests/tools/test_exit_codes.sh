@@ -255,6 +255,57 @@ expect 2 "daemon + --stats-format" "$SSTSIM" "$MODELS/pingpong.json" \
                            --daemon "$WORK/d.sock" --stats-format json
 names "daemon + --stats-format" "--stats-format"
 
+# Every other object of a description checks its member names too: a
+# misspelled section, link, vm or fault key exits 2 naming the key and
+# the known ones, instead of running without it.
+SYSTEMS="$MODELS/../../../examples/systems"
+sed 's/"drop": 1.0}/"dorp": 1.0}/' "$MODELS/deadlock.json" \
+    > "$WORK/dorp.json"
+expect 2 "sdl link fault dorp" "$SSTSIM" "$WORK/dorp.json"
+names "sdl link fault dorp" "unknown link fault key 'dorp' (known: component,"
+sed 's/"faults": {/"faultz": {/' "$MODELS/deadlock.json" > "$WORK/faultz.json"
+expect 2 "sdl faultz section" "$SSTSIM" "$WORK/faultz.json"
+names "sdl faultz section" "unknown top-level key 'faultz' (known: config,"
+sed 's/"latency": "2ns"/"latncy": "2ns"/' "$SYSTEMS/node_ddr3.json" \
+    > "$WORK/latncy.json"
+expect 2 "sdl link latncy" "$SSTSIM" "$WORK/latncy.json"
+names "sdl link latncy" "unknown link key 'latncy' (known: from,"
+sed 's/"enable": true/"enabel": false/' "$SYSTEMS/node_vm.json" \
+    > "$WORK/enabel.json"
+expect 2 "sdl vm enabel" "$SSTSIM" "$WORK/enabel.json"
+names "sdl vm enabel" "unknown vm key 'enabel' (known: enable,"
+
+# Restart refusals (5).  --profile-engine and --trace-engine output is
+# per rank, so a resume with either, set by the snapshot's description
+# or by the command line, needs the writer's rank count; the message
+# names the flag and that count.  A version-2 snapshot names its version.
+"$SSTSIM" "$MODELS/pingpong.json" --ranks 2 --profile-engine \
+    --checkpoint-period 100us --checkpoint-dir "$WORK/pcp" \
+    --stats /dev/null > /dev/null 2>&1
+expect 5 "restart --profile-engine at 4 of 2 ranks" \
+    "$SSTSIM" --restart "$WORK/pcp" --ranks 4 --stats /dev/null
+names "restart --profile-engine at 4 of 2 ranks" \
+    "--profile-engine output is per rank, so this checkpoint resumes only at the 2 rank(s)"
+expect 0 "restart --profile-engine at 2 ranks" \
+    "$SSTSIM" --restart "$WORK/pcp" --ranks 2 --stats /dev/null
+"$SSTSIM" "$MODELS/pingpong.json" --ranks 2 --trace "$WORK/t.json" \
+    --checkpoint-period 100us --checkpoint-dir "$WORK/tcp" \
+    --stats /dev/null > /dev/null 2>&1
+expect 5 "restart --trace-engine at 4 of 2 ranks" \
+    "$SSTSIM" --restart "$WORK/tcp" --ranks 4 --trace-engine --stats /dev/null
+names "restart --trace-engine at 4 of 2 ranks" \
+    "--trace-engine output is per rank, so this checkpoint resumes only at the 2 rank(s)"
+expect 0 "restart --trace-engine at 2 ranks" \
+    "$SSTSIM" --restart "$WORK/tcp" --ranks 2 --trace-engine --stats /dev/null
+expect 0 "restart at 4 of 2 ranks" \
+    "$SSTSIM" --restart "$WORK/tcp" --ranks 4 --stats /dev/null
+mkdir -p "$WORK/v2"  # alone, so no intact sibling is a fallback
+v2="$WORK/v2/sim.ckpt.000001"
+cp "$WORK/tcp/$(ls "$WORK/tcp" | tail -1)" "$v2"
+printf '\002\000\000\000' | dd of="$v2" bs=1 seek=8 conv=notrunc 2>/dev/null
+expect 5 "restart version-2 snapshot" "$SSTSIM" --restart "$v2" --stats /dev/null
+names "restart version-2 snapshot" "has format version 2 but this build supports version 3"
+
 # Sweep specs: range steps, sample counts and seeds are whole numbers in
 # range, and no spec expands past the point bound; each bad value is a
 # config error (2) naming its key, never an abort.

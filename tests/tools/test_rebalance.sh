@@ -12,7 +12,8 @@
 #      --profile-engine).
 #   3. A checkpoint taken after migrations restores byte-identically:
 #      a mid-run snapshot of the rebalanced run resumes to the same
-#      stats as the uninterrupted run.
+#      stats as the uninterrupted run, at 4 ranks and at 1 and 2; and a
+#      one-rank snapshot resumes at 4 ranks, where it rebalances.
 #
 #   test_rebalance.sh <sstsim> <source_dir>
 set -u
@@ -122,6 +123,35 @@ if ! cmp -s "$WORK/hot.r1.csv" "$WORK/hot.resume_old.csv"; then
   echo "rebalance: restart from the oldest snapshot drifted" >&2
   fail=1
 fi
+# resume_at <snapshot dir> <ranks>: the oldest and the newest snapshot,
+# resumed at <ranks> with verbose engine output in $WORK/x.*.err.
+resume_at() {
+  for snap in "$1/$(ls "$1" | head -1)" "$1"; do
+    x="$(basename "$snap").at$2"
+    run "x.$x" "$SSTSIM" --restart "$snap" --ranks "$2" \
+        --override /config/verbose=true --stats "$WORK/x.$x.csv" || continue
+    if ! cmp -s "$WORK/hot.r1.csv" "$WORK/x.$x.csv"; then
+      echo "rebalance: $1 snapshot $x is not byte-identical" >&2
+      fail=1
+    fi
+  done
+}
+# The post-migration 4-rank snapshots, resumed at 1 and 2 ranks.
+resume_at "$WORK/cp" 1
+resume_at "$WORK/cp" 2
+# One-rank snapshots carry no per-component epoch counts; resumed at 4
+# ranks, the run must still rebalance.  (150us: the newest snapshot,
+# at 300us, leaves the run time to migrate.)
+run hot_ckpt1 "$SSTSIM" "$HOTSPOT" --ranks 1 --stats /dev/null \
+    --checkpoint-period 150us --checkpoint-dir "$WORK/cp1" \
+    --checkpoint-keep 8
+resume_at "$WORK/cp1" 4
+for x in sim.ckpt.000001.at4 cp1.at4; do
+  if ! grep -q "rebalance @" "$WORK/x.$x.err"; then
+    echo "rebalance: one-rank snapshot $x never migrated a component" >&2
+    fail=1
+  fi
+done
 
 if [ "$fail" -ne 0 ]; then exit 1; fi
 echo "rebalance: corpus goldens unchanged under --rebalance;" \

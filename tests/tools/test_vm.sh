@@ -9,7 +9,8 @@
 #      names the valid alternatives.
 #   3. Checkpointing is invisible, and a resume from EVERY retained
 #      snapshot — including ones cut while page walks were in flight —
-#      converges to byte-identical stats, serial and 4-rank.
+#      converges to byte-identical stats, serial and 4-rank; one-rank
+#      snapshots resume at 4 ranks and 4-rank snapshots at one.
 #   4. The vm_storm model (periodic shootdown broadcasts with
 #      drop/duplicate/delay faults on the invalidation link, both
 #      directions) completes cleanly — no deadlock — with identical
@@ -107,6 +108,17 @@ check "4-rank checkpointing run matches plain run" \
 run res4 "$SSTSIM" --restart "$WORK/cp4" --ranks 4 \
     --stats "$WORK/res4.csv"
 check "4-rank resume identical" cmp -s "$WORK/r1.csv" "$WORK/res4.csv"
+# Across rank counts, from the first and from the newest snapshot.
+for pair in 1:4 4:1; do
+  w="${pair%:*}"; r="${pair#*:}"
+  first="$WORK/cp$w/$(ls "$WORK/cp$w" | head -1)"
+  for snap in "$first" "$WORK/cp$w"; do
+    run "x$w$r" "$SSTSIM" --restart "$snap" --ranks "$r" \
+        --stats "$WORK/x.csv"
+    check "$w-rank snapshot $(basename "$snap") resumed at $r ranks" \
+        cmp -s "$WORK/r1.csv" "$WORK/x.csv"
+  done
+done
 
 # --- 4: shootdown storm under invalidation-link faults ----------------
 run storm1 "$SSTSIM" "$STORM" --stats "$WORK/s1.csv"
