@@ -8,7 +8,7 @@
 //
 // Supported out of the box: arithmetic types, enums, bool,
 // std::string, vector/deque/set/map/unordered_map/pair/optional, RNG
-// engines, UnitAlgebra, Params, and polymorphic events (via the event
+// engines, UnitAlgebra, and polymorphic events (via the event
 // registry, see event_registry.h).  Any struct can opt in by providing a
 // `void ckpt_io(ckpt::Serializer&)` member that serializes its fields.
 //
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "core/event.h"
-#include "core/params.h"
 #include "core/rng.h"
 #include "core/types.h"
 #include "core/unit_algebra.h"
@@ -346,32 +345,6 @@ class Serializer {
     (*this) & value;
     for (auto& e : units.exp) (*this) & e;
     if (!packing()) ua = UnitAlgebra(value, units);
-    return *this;
-  }
-
-  Serializer& operator&(Params& params) {
-    if (packing()) {
-      std::vector<std::string> keys = params.keys();
-      std::uint64_t n = keys.size();
-      (*this) & n;
-      for (auto& k : keys) {
-        std::string value = params.raw(k).value_or("");
-        (*this) & k;
-        (*this) & value;
-      }
-    } else {
-      std::uint64_t n = 0;
-      (*this) & n;
-      params = Params{};
-      check_count(n, 16);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        std::string key;
-        std::string value;
-        (*this) & key;
-        (*this) & value;
-        params.set(std::move(key), std::move(value));
-      }
-    }
     return *this;
   }
 

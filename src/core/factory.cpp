@@ -1,7 +1,5 @@
 #include "core/factory.h"
 
-#include "core/simulation.h"
-
 namespace sst {
 
 Factory& Factory::instance() {
@@ -9,9 +7,12 @@ Factory& Factory::instance() {
   return factory;
 }
 
-void Factory::register_component(const std::string& type, Builder builder) {
+void Factory::register_component(const std::string& type,
+                                 std::vector<ParamDoc> params,
+                                 Builder builder) {
   if (!builder) throw ConfigError("null builder for '" + type + "'");
-  auto [it, inserted] = builders_.emplace(type, std::move(builder));
+  auto [it, inserted] =
+      types_.emplace(type, Entry{std::move(builder), std::move(params)});
   (void)it;
   if (!inserted) {
     throw ConfigError("component type registered twice: '" + type + "'");
@@ -19,42 +20,33 @@ void Factory::register_component(const std::string& type, Builder builder) {
 }
 
 bool Factory::known(const std::string& type) const {
-  return builders_.contains(type);
+  return types_.contains(type);
 }
 
-Component* Factory::create(Simulation& sim, const std::string& type,
-                           const std::string& name, Params& params) const {
-  auto it = builders_.find(type);
-  if (it == builders_.end()) {
+const Factory::Entry& Factory::entry(const std::string& type) const {
+  auto it = types_.find(type);
+  if (it == types_.end()) {
     std::string msg = "unknown component type '" + type + "'; known types:";
     for (const auto& t : registered_types()) msg += " " + t;
     throw ConfigError(msg);
   }
-  return it->second(sim, name, params);
+  return it->second;
 }
 
-void Factory::describe_params(const std::string& type,
-                              std::vector<ParamDoc> docs) {
-  if (!known(type)) {
-    throw ConfigError("describe_params: unregistered type '" + type + "'");
-  }
-  auto [it, inserted] = param_docs_.emplace(type, std::move(docs));
-  (void)it;
-  if (!inserted) {
-    throw ConfigError("params documented twice for '" + type + "'");
-  }
+Component* Factory::create(Simulation& sim, const std::string& type,
+                           const std::string& name, Params& params) const {
+  return entry(type).builder(sim, name, params);
 }
 
-const std::vector<ParamDoc>* Factory::param_docs(
+const std::vector<ParamDoc>& Factory::param_docs(
     const std::string& type) const {
-  auto it = param_docs_.find(type);
-  return it == param_docs_.end() ? nullptr : &it->second;
+  return entry(type).params;
 }
 
 std::vector<std::string> Factory::registered_types() const {
   std::vector<std::string> out;
-  out.reserve(builders_.size());
-  for (const auto& [k, v] : builders_) {
+  out.reserve(types_.size());
+  for (const auto& [k, v] : types_) {
     (void)v;
     out.push_back(k);
   }

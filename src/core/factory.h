@@ -5,23 +5,20 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/params.h"
+#include "core/simulation.h"
 #include "core/types.h"
 
 namespace sst {
 
-class Component;
-class Simulation;
-
-/// One declared parameter of a registered component type: the knob name,
-/// a one-line description, and the default ("" = required).  Element
-/// libraries attach these via Factory::describe_params so configuration
-/// authors (and DSE sweep axes) can discover what is overridable without
-/// reading the model source.
+/// One declared parameter of a registered component type: the key, a
+/// one-line description, and the default ("" = required).  The list a
+/// type registers with is the only set of keys ConfigGraph::validate
+/// accepts for it, from an SDL file, an override, a daemon request or a
+/// sweep axis alike; sstsim --list-components prints it.
 struct ParamDoc {
   std::string name;
   std::string description;
@@ -33,13 +30,26 @@ class Factory {
   using Builder = std::function<Component*(Simulation&, const std::string&,
                                            Params&)>;
 
-  /// Process-wide factory instance (element libraries self-register into
-  /// it from static initializers).
+  /// Process-wide factory instance (element libraries register into it
+  /// from their register_library()).
   static Factory& instance();
 
-  /// Registers a builder under "library.Name".  Duplicate registration of
-  /// the same name is a programming error.
-  void register_component(const std::string& type, Builder builder);
+  /// Registers a builder and its declared parameters under
+  /// "library.Name".  Duplicate registration of the same name is a
+  /// programming error.
+  void register_component(const std::string& type,
+                          std::vector<ParamDoc> params, Builder builder);
+
+  /// The same for a Component subclass built as
+  /// sim.add_component<T>(name, params).
+  template <typename T>
+  void register_component(const std::string& type,
+                          std::vector<ParamDoc> params) {
+    register_component(
+        type, std::move(params),
+        [](Simulation& sim, const std::string& name, Params& p)
+            -> Component* { return sim.add_component<T>(name, p); });
+  }
 
   /// True when a builder exists for the type.
   [[nodiscard]] bool known(const std::string& type) const;
@@ -51,44 +61,20 @@ class Factory {
   /// All registered type names, sorted.
   [[nodiscard]] std::vector<std::string> registered_types() const;
 
-  /// Attaches parameter documentation to an already-registered type
-  /// (sstsim --list-components prints it).  Unknown type or duplicate
-  /// documentation is a programming error.
-  void describe_params(const std::string& type, std::vector<ParamDoc> docs);
-
-  /// Declared parameters for the type; nullptr when none were attached.
-  [[nodiscard]] const std::vector<ParamDoc>* param_docs(
+  /// The declared parameters of a registered type.  Throws ConfigError
+  /// for an unknown type.
+  [[nodiscard]] const std::vector<ParamDoc>& param_docs(
       const std::string& type) const;
 
  private:
-  std::map<std::string, Builder> builders_;
-  std::map<std::string, std::vector<ParamDoc>> param_docs_;
-};
+  struct Entry {
+    Builder builder;
+    std::vector<ParamDoc> params;
+  };
+  /// The entry of `type`; throws ConfigError listing the known types.
+  [[nodiscard]] const Entry& entry(const std::string& type) const;
 
-/// Helper used by the registration macro.
-template <typename T>
-struct ComponentRegistrar {
-  explicit ComponentRegistrar(const std::string& type);
+  std::map<std::string, Entry> types_;
 };
 
 }  // namespace sst
-
-#include "core/simulation.h"
-
-namespace sst {
-template <typename T>
-ComponentRegistrar<T>::ComponentRegistrar(const std::string& type) {
-  Factory::instance().register_component(
-      type,
-      [](Simulation& sim, const std::string& name, Params& p) -> Component* {
-        return sim.add_component<T>(name, p);
-      });
-}
-}  // namespace sst
-
-/// Registers a Component subclass with constructor signature (Params&)
-/// under the given type string, e.g.:
-///   SST_REGISTER_COMPONENT(my::Cache, "mem.Cache");
-#define SST_REGISTER_COMPONENT(cls, type_string)                            \
-  static const ::sst::ComponentRegistrar<cls> sst_registrar_##cls_instance( \
-      type_string)

@@ -10,9 +10,7 @@ namespace sst {
 
 const std::string* Params::lookup(std::string_view key) const {
   auto it = values_.find(key);
-  if (it == values_.end()) return nullptr;
-  used_.insert(it->first);
-  return &it->second;
+  return it == values_.end() ? nullptr : &it->second;
 }
 
 std::optional<std::string> Params::raw(std::string_view key) const {
@@ -43,38 +41,8 @@ SimTime Params::find_time(std::string_view key,
   }
 }
 
-Params Params::scope(std::string_view prefix) const {
-  Params out;
-  for (const auto& [k, v] : values_) {
-    if (k.size() > prefix.size() && std::string_view(k).substr(0, prefix.size()) == prefix) {
-      out.values_.emplace(k.substr(prefix.size()), v);
-      used_.insert(k);  // scoping counts as a read of the parent key
-    }
-  }
-  return out;
-}
-
 void Params::merge(const Params& other) {
   for (const auto& [k, v] : other.values_) values_[k] = v;
-}
-
-std::vector<std::string> Params::unused_keys() const {
-  std::vector<std::string> out;
-  for (const auto& [k, v] : values_) {
-    (void)v;
-    if (used_.find(k) == used_.end()) out.push_back(k);
-  }
-  return out;
-}
-
-std::vector<std::string> Params::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [k, v] : values_) {
-    (void)v;
-    out.push_back(k);
-  }
-  return out;
 }
 
 std::uint64_t parse_count(std::string_view what, const std::string& text,

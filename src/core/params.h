@@ -2,14 +2,14 @@
 //
 // Mirrors SST's Params: every component is configured from a flat map of
 // strings; typed accessors parse on demand (including UnitAlgebra
-// quantities) and report precise errors.  Key reads are tracked so the
-// framework can flag unused (usually misspelled) parameters.
+// quantities) and report precise errors.  Which keys a component type
+// accepts is declared once, in its Factory registration (ParamDoc), and
+// ConfigGraph::validate checks every input key against that list.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,27 +64,20 @@ class Params {
   [[nodiscard]] SimTime find_time(std::string_view key,
                                   std::string_view default_value) const;
 
-  /// Returns a new Params containing keys with the given prefix, with the
-  /// prefix stripped (e.g. scope("l1.") maps "l1.size" -> "size").
-  [[nodiscard]] Params scope(std::string_view prefix) const;
-
   /// Merges other into this; other's values win on conflicts.
   void merge(const Params& other);
 
-  /// Keys present but never read through any accessor.
-  [[nodiscard]] std::vector<std::string> unused_keys() const;
+  /// The (key, value) pairs, in key order.
+  [[nodiscard]] auto begin() const { return values_.begin(); }
+  [[nodiscard]] auto end() const { return values_.end(); }
 
-  /// All keys, sorted.
-  [[nodiscard]] std::vector<std::string> keys() const;
-
-  /// Raw access (marks the key as used).
+  /// Raw access.
   [[nodiscard]] std::optional<std::string> raw(std::string_view key) const;
 
  private:
   [[nodiscard]] const std::string* lookup(std::string_view key) const;
 
   std::map<std::string, std::string, std::less<>> values_;
-  mutable std::set<std::string, std::less<>> used_;
 };
 
 /// Strict parse of a count that sizes something (a CLI flag, a sweep or

@@ -1,7 +1,6 @@
 #include "daemon/graph_cache.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace sst::daemon {
 
@@ -36,16 +35,14 @@ std::uint64_t GraphCache::admit(const std::string& bytes,
   }
   ++misses_;
   const sdl::ConfigGraph& graph = insert(hash, bytes);
-  const auto problems = graph.validate(factory);
-  if (!problems.empty()) {
+  try {
+    graph.check(factory);
+  } catch (const ConfigError&) {
     // Never cache an invalid model: evict so a corrected resubmission
     // with (improbably) the same hash revalidates.
     entries_.erase(hash);
     order_.erase(std::find(order_.begin(), order_.end(), hash));
-    std::ostringstream os;
-    os << "invalid system description:";
-    for (const auto& p : problems) os << "\n  - " << p;
-    throw ConfigError(os.str());
+    throw;
   }
   return hash;
 }

@@ -48,25 +48,32 @@ ClientMessage parse_client_message(const std::string& line) {
   } catch (const sdl::JsonError& e) {
     throw DaemonError(std::string("malformed request line: ") + e.what());
   }
-  if (!doc.is_object() || !doc.has("op")) {
-    throw DaemonError("request line must be an object with an \"op\" field");
+  if (!doc.is_object() || !doc.has("op") || !doc.at("op").is_string()) {
+    throw DaemonError(
+        "request line must be an object with a string \"op\" field");
   }
   const std::string op = doc.at("op").as_string();
   ClientMessage msg;
-  if (op == "run") {
-    msg.op = ClientMessage::Op::kRun;
-    msg.run = run_request_from_json(doc);
-  } else if (op == "status") {
-    msg.op = ClientMessage::Op::kStatus;
-  } else if (op == "result") {
-    msg.op = ClientMessage::Op::kResult;
-    if (!doc.has("id")) throw DaemonError("result op requires an \"id\"");
-    msg.id = doc.at("id").as_string();
-  } else if (op == "drain") {
-    msg.op = ClientMessage::Op::kDrain;
-  } else {
-    throw DaemonError("unknown op '" + op +
-                      "' (expected run|status|result|drain)");
+  // A field of the wrong type (JsonError) or a bad value (ConfigError)
+  // fails this request, never the daemon.
+  try {
+    if (op == "run") {
+      msg.op = ClientMessage::Op::kRun;
+      msg.run = run_request_from_json(doc);
+    } else if (op == "status") {
+      msg.op = ClientMessage::Op::kStatus;
+    } else if (op == "result") {
+      msg.op = ClientMessage::Op::kResult;
+      if (!doc.has("id")) throw DaemonError("result op requires an \"id\"");
+      msg.id = doc.at("id").as_string();
+    } else if (op == "drain") {
+      msg.op = ClientMessage::Op::kDrain;
+    } else {
+      throw DaemonError("unknown op '" + op +
+                        "' (expected run|status|result|drain)");
+    }
+  } catch (const ConfigError& e) {
+    throw DaemonError(std::string("bad request line: ") + e.what());
   }
   return msg;
 }
@@ -92,36 +99,34 @@ RunRequest run_request_from_json(const sdl::JsonValue& doc) {
   }
   // Checked as a sweep spec's "run" section checks them, through the same
   // setting_text.
-  try {
-    if (doc.has("retries")) {
-      const std::string what = "run op \"retries\"";
-      req.retries = static_cast<unsigned>(parse_count(
-          what, sdl::setting_text(doc.at("retries"), what), 0, UINT32_MAX));
+  if (doc.has("retries")) {
+    req.retries = static_cast<unsigned>(sdl::setting_count(
+        doc.at("retries"), "run op \"retries\"", 0, UINT32_MAX));
+  }
+  if (doc.has("test_signal")) {
+    req.test_signal = static_cast<int>(sdl::setting_count(
+        doc.at("test_signal"), "run op \"test_signal\"", 0, 64));
+  }
+  auto seconds = [&doc](const char* key, double& field) {
+    if (doc.has(key)) {
+      const std::string what = std::string("run op \"") + key + "\"";
+      field = parse_seconds(what, sdl::setting_text(doc.at(key), what));
     }
-    auto seconds = [&doc](const char* key, double& field) {
-      if (doc.has(key)) {
-        const std::string what = std::string("run op \"") + key + "\"";
-        field = parse_seconds(what, sdl::setting_text(doc.at(key), what));
-      }
-    };
-    seconds("timeout", req.timeout_seconds);
-    seconds("backoff", req.backoff_seconds);
-    for (const Alias& a : kAliases) {
-      if (!doc.has(a.field)) continue;
-      const std::string what = std::string("run op \"") + a.field + "\"";
-      const std::string text = sdl::setting_text(doc.at(a.field), what);
-      if (a.keep != nullptr && text == a.keep) continue;
-      sdl::check_setting(a.path, text, what);
-      req.set_override(a.path, text);
-    }
-  } catch (const ConfigError& e) {
-    throw DaemonError(e.what());
+  };
+  seconds("timeout", req.timeout_seconds);
+  seconds("backoff", req.backoff_seconds);
+  for (const Alias& a : kAliases) {
+    if (!doc.has(a.field)) continue;
+    const std::string what = std::string("run op \"") + a.field + "\"";
+    const std::string text = sdl::setting_text(doc.at(a.field), what);
+    if (a.keep != nullptr && text == a.keep) continue;
+    sdl::check_setting(a.path, text, what);
+    req.set_override(a.path, text);
   }
   if (req.timeout_seconds > 0) {
     req.set_override("/config/watchdog_seconds",
                      obs::json_number(req.timeout_seconds));
   }
-  req.test_signal = static_cast<int>(doc.get_number("test_signal", 0));
   return req;
 }
 

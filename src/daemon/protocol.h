@@ -25,9 +25,9 @@
 // seed ("ranks": 0 and "end": "" keep the model's own); "timeout" is the
 // deadline and also /config/watchdog_seconds.  Both win over "overrides".
 //
-// The "test_signal" run field is a harness hook: the worker raises that
-// signal instead of simulating, so crash isolation can be exercised
-// deterministically from CI.
+// The "test_signal" run field (a signal number, 0..64) is a harness hook:
+// the worker raises that signal instead of simulating, so crash isolation
+// can be exercised deterministically from CI.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +74,8 @@ struct ClientMessage {
 };
 
 /// Parses one client JSONL line.  Throws DaemonError on malformed JSON,
-/// unknown ops, or missing required fields.
+/// unknown ops, missing required fields, fields of the wrong type, or bad
+/// values; never anything else.
 [[nodiscard]] ClientMessage parse_client_message(const std::string& line);
 
 /// Serializes a run request back to its wire line (used by clients and
@@ -82,6 +83,7 @@ struct ClientMessage {
 [[nodiscard]] std::string run_request_to_line(const RunRequest& req);
 
 /// Parses the {"op":"run", ...} fields of `doc` into a RunRequest.
+/// Throws DaemonError on a missing field and ConfigError on a bad one.
 [[nodiscard]] RunRequest run_request_from_json(const sdl::JsonValue& doc);
 
 /// Worker's verdict on one dispatched job.

@@ -1,5 +1,6 @@
 #include "daemon/request_ledger.h"
 
+#include <charconv>
 #include <sstream>
 
 #include "obs/json_util.h"
@@ -8,7 +9,7 @@ namespace sst::daemon {
 
 namespace {
 
-constexpr int kLedgerVersion = 1;
+constexpr std::uint64_t kLedgerVersion = 1;
 
 std::string record_to_line(const RequestRecord& r) {
   std::ostringstream os;
@@ -30,7 +31,7 @@ void RequestLedger::load() {
   if (!header.has("daemon") || header.at("daemon").as_string() != "sstsimd") {
     throw DaemonError("'" + path() + "' is not an sstsimd request ledger");
   }
-  const int version = static_cast<int>(header.get_number("version", 0));
+  const std::uint64_t version = file_.count(header, "version", UINT32_MAX, 0);
   if (version != kLedgerVersion) {
     throw DaemonError("ledger '" + path() + "' has version " +
                       std::to_string(version) + ", this daemon writes version " +
@@ -41,11 +42,20 @@ void RequestLedger::load() {
     RequestRecord r;
     r.id = doc.at("id").as_string();
     r.status = doc.at("status").as_string();
-    r.exit_code = static_cast<int>(doc.get_number("exit", 0));
-    r.term_signal = static_cast<int>(doc.get_number("signal", 0));
-    r.attempts = static_cast<unsigned>(doc.get_number("attempts", 0));
+    r.exit_code = static_cast<int>(file_.count(doc, "exit", 255, 0));
+    r.term_signal = static_cast<int>(file_.count(doc, "signal", 64, 0));
+    r.attempts = static_cast<unsigned>(file_.count(doc, "attempts",
+                                                   UINT32_MAX, 0));
     r.out_dir = doc.get_string("out", "");
-    r.content_hash = std::stoull(doc.get_string("hash", "0"), nullptr, 16);
+    const std::string hash = doc.get_string("hash", "0");
+    const char* end = hash.data() + hash.size();
+    const auto [ptr, ec] =
+        std::from_chars(hash.data(), end, r.content_hash, 16);
+    if (ec != std::errc() || ptr != end) {
+      throw DaemonError("ledger '" + path() +
+                        "' field \"hash\" must be a hex number, got '" +
+                        hash + "'");
+    }
     r.error = doc.get_string("error", "");
     records_[r.id] = std::move(r);
   }

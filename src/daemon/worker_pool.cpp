@@ -78,13 +78,7 @@ WorkerReply execute_job(GraphCache& cache, const RunRequest& req,
     for (const auto& [path, value] : req.overrides) {
       graph.apply_override(path, value);
     }
-    const auto problems = graph.validate(Factory::instance());
-    if (!problems.empty()) {
-      std::ostringstream os;
-      os << "invalid system description:";
-      for (const auto& p : problems) os << "\n  - " << p;
-      throw ConfigError(os.str());
-    }
+    graph.check();
     // Simulations run with the request's out directory as cwd, so
     // model-relative observability paths land there.
     if (::chdir(req.out_dir.c_str()) != 0) {

@@ -38,8 +38,7 @@ bool Ledger::load(const std::string& sweep_name, std::uint64_t point_count) {
                      header.at("sweep").as_string() + "', not '" +
                      sweep_name + "'");
   }
-  const auto recorded =
-      static_cast<std::uint64_t>(header.at("points").as_number());
+  const std::uint64_t recorded = file_.count(header, "points", UINT64_MAX);
   if (recorded != point_count) {
     throw SweepError("ledger '" + path() + "' records " +
                      std::to_string(recorded) +
@@ -50,11 +49,12 @@ bool Ledger::load(const std::string& sweep_name, std::uint64_t point_count) {
   for (std::size_t i = 1; i < docs.size(); ++i) {
     const sdl::JsonValue& doc = docs[i];
     LedgerRecord r;
-    r.point = static_cast<std::uint64_t>(doc.at("point").as_number());
+    r.point = file_.count(doc, "point", UINT64_MAX);
     r.status = doc.at("status").as_string();
-    r.exit_code = static_cast<int>(doc.get_number("exit", 0));
-    r.term_signal = static_cast<int>(doc.get_number("signal", 0));
-    r.attempts = static_cast<unsigned>(doc.get_number("attempts", 1));
+    r.exit_code = static_cast<int>(file_.count(doc, "exit", 255, 0));
+    r.term_signal = static_cast<int>(file_.count(doc, "signal", 64, 0));
+    r.attempts = static_cast<unsigned>(file_.count(doc, "attempts",
+                                                   UINT32_MAX, 1));
     if (doc.has("values")) {
       for (const auto& v : doc.at("values").as_array()) {
         r.values.push_back(v.as_string());

@@ -78,6 +78,12 @@ void validate_axes(const SweepSpec& spec, const sdl::JsonValue& base_model) {
   for (const auto& axis : spec.axes) {
     graph.apply_override(axis.path, axis.values.front());
   }
+  // Every point runs at the policy's rank count (orchestrator.cpp), and a
+  // component's pinned rank is valid or not against it.
+  if (spec.run.ranks > 0) {
+    graph.apply_override("/config/num_ranks", std::to_string(spec.run.ranks));
+  }
+  graph.check();
 }
 
 }  // namespace sst::dse

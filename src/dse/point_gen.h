@@ -33,9 +33,10 @@ struct Point {
 void apply_point(const SweepSpec& spec, const Point& point,
                  sdl::ConfigGraph& graph);
 
-/// Early path validation: applies each axis's first value to a scratch
-/// copy of the base graph so bad axis paths surface at spec-load time,
-/// not halfway through a batch.  Throws ConfigError.
+/// Early validation: applies each axis's first value, and the run
+/// policy's rank count, to a scratch copy of the base graph and validates
+/// it, so bad axis paths and undeclared param keys surface at spec-load
+/// time, before any point runs.  Throws ConfigError.
 void validate_axes(const SweepSpec& spec, const sdl::JsonValue& base_model);
 
 }  // namespace sst::dse

@@ -13,11 +13,11 @@ namespace sst::dse {
 
 namespace {
 
-/// parse_count of a spec member, failing with a SweepError.
+/// setting_count of a spec member, failing with a SweepError.
 std::uint64_t spec_count(const std::string& what, const sdl::JsonValue& v,
                          std::uint64_t lo, std::uint64_t hi) {
   try {
-    return parse_count(what, sdl::setting_text(v, what), lo, hi);
+    return sdl::setting_count(v, what, lo, hi);
   } catch (const ConfigError& e) {
     throw SweepError(e.what());
   }

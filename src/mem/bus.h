@@ -6,10 +6,8 @@
 //   "up0" .. "up<N-1>" — upstream requesters (caches / CPUs)
 //   "down"             — downstream target (next cache level / controller)
 //
-// Params:
-//   num_ports   upstream port count                 (required)
-//   bandwidth   e.g. "25.6GB/s"                     (default "25.6GB/s")
-//   header      per-transaction arbitration time    (default "1ns")
+// Params: the "mem.Bus" list registered in mem_lib.cpp (sstsim
+// --list-components prints it).
 #pragma once
 
 #include <cstdint>

@@ -15,14 +15,8 @@
 //   "cpu" — upstream (requests arrive, responses leave)
 //   "mem" — downstream (line fills / writebacks)
 //
-// Params:
-//   size             total capacity, e.g. "64KiB"      (required)
-//   assoc            ways per set                       (default 8)
-//   line_size        bytes per line                     (default 64)
-//   hit_latency      lookup/response latency            (default "2ns")
-//   mshrs            outstanding line misses            (default 8)
-//   prefetch         "none" | "nextline"                (default "none")
-//   prefetch_degree  lines fetched ahead per miss       (default 2)
+// Params: the "mem.Cache" list registered in mem_lib.cpp (sstsim
+// --list-components prints it).
 #pragma once
 
 #include <cstdint>

@@ -143,9 +143,7 @@ class CoherenceEvent final : public Event {
 ///   "cache0" .. "cache<N-1>" — coherent caches
 ///   "mem"                    — memory controller (MemEvent protocol)
 ///
-/// Params:
-///   num_caches   cache port count              (required)
-///   occupancy    per-transaction bus time      (default "6ns")
+/// Params: the "mem.SnoopBus" list registered in mem_lib.cpp.
 class SnoopBus final : public Component {
  public:
   explicit SnoopBus(Params& params);
@@ -200,8 +198,7 @@ class SnoopBus final : public Component {
 ///   "cpu" — core side (MemEvent protocol)
 ///   "bus" — SnoopBus side (CoherenceEvent / SnoopEvent protocol)
 ///
-/// Params: size (required), assoc (4), line_size (64),
-///         hit_latency ("1ns"), mshrs (8)
+/// Params: the "mem.CoherentCache" list registered in mem_lib.cpp.
 class CoherentCache final : public Component {
  public:
   explicit CoherentCache(Params& params);

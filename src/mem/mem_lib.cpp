@@ -47,32 +47,7 @@ void register_ckpt_events() {
 void register_library() {
   static const bool once = [] {
     Factory& f = Factory::instance();
-    f.register_component(
-        "mem.Cache",
-        [](Simulation& sim, const std::string& name, Params& p) -> Component* {
-          return sim.add_component<Cache>(name, p);
-        });
-    f.register_component(
-        "mem.Bus",
-        [](Simulation& sim, const std::string& name, Params& p) -> Component* {
-          return sim.add_component<Bus>(name, p);
-        });
-    f.register_component(
-        "mem.CoherentCache",
-        [](Simulation& sim, const std::string& name, Params& p) -> Component* {
-          return sim.add_component<CoherentCache>(name, p);
-        });
-    f.register_component(
-        "mem.SnoopBus",
-        [](Simulation& sim, const std::string& name, Params& p) -> Component* {
-          return sim.add_component<SnoopBus>(name, p);
-        });
-    f.register_component(
-        "mem.MemoryController",
-        [](Simulation& sim, const std::string& name, Params& p) -> Component* {
-          return sim.add_component<MemoryController>(name, p);
-        });
-    f.describe_params("mem.Cache", {
+    f.register_component<Cache>("mem.Cache", {
         {"size", "total capacity, e.g. \"32KiB\"", ""},
         {"line_size", "cache line size in bytes (power of two)", "64"},
         {"assoc", "set associativity", "8"},
@@ -81,12 +56,12 @@ void register_library() {
         {"prefetch", "prefetch policy: none | nextline", "none"},
         {"prefetch_degree", "lines fetched ahead per miss", "2"},
     });
-    f.describe_params("mem.Bus", {
+    f.register_component<Bus>("mem.Bus", {
         {"num_ports", "number of attached cpu-side ports", ""},
         {"bandwidth", "shared bus bandwidth", "25.6GB/s"},
         {"header", "per-transaction header time", "1ns"},
     });
-    f.describe_params("mem.CoherentCache", {
+    f.register_component<CoherentCache>("mem.CoherentCache", {
         {"size", "total capacity, e.g. \"64KiB\"", ""},
         {"num_caches", "peer caches on the snoop bus", ""},
         {"line_size", "cache line size in bytes (power of two)", "64"},
@@ -94,11 +69,11 @@ void register_library() {
         {"hit_latency", "hit latency (period or frequency)", "1ns"},
         {"mshrs", "outstanding-miss registers", "8"},
     });
-    f.describe_params("mem.SnoopBus", {
+    f.register_component<SnoopBus>("mem.SnoopBus", {
         {"num_caches", "coherent caches arbitrating for the bus", ""},
         {"occupancy", "bus occupancy per snoop transaction", "6ns"},
     });
-    f.describe_params("mem.MemoryController", {
+    f.register_component<MemoryController>("mem.MemoryController", {
         {"backend", "timing backend: dram | simple", "dram"},
         {"preset", "dram timing preset: DDR2 | DDR3 | GDDR5", "DDR3"},
         {"latency", "simple-backend fixed latency", "60ns"},

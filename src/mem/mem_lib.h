@@ -11,8 +11,8 @@
 
 namespace sst::mem {
 
-/// Registers "mem.Cache", "mem.Bus", and "mem.MemoryController" with the
-/// process-wide Factory.  Idempotent.
+/// Registers the mem.* component types, each with its declared parameter
+/// list, with the process-wide Factory.  Idempotent.
 void register_library();
 
 }  // namespace sst::mem

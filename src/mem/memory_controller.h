@@ -5,14 +5,8 @@
 // Ports:
 //   "cpu" — upstream
 //
-// Params:
-//   backend        "dram" | "simple"                   (default "dram")
-//   preset         "DDR2" | "DDR3" | "GDDR5"           (default "DDR3")
-//   latency        simple backend latency              (default "60ns")
-//   bandwidth_gbs  simple backend bandwidth in GB/s    (default 10.667)
-//   ber            per-bit transient flip probability  (default 0.0 = off)
-//   ecc            "secded" | "none"                   (default "secded")
-//   fatal_uncorrected  throw on an uncorrectable error (default false)
+// Params: the "mem.MemoryController" list registered in mem_lib.cpp
+// (sstsim --list-components prints it).
 //
 // Fault model: with ber > 0 every read samples bit-flips per 64-bit word
 // (SECDED(72,64) organisation).  With ECC, single-bit flips are corrected

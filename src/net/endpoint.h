@@ -16,14 +16,9 @@
 // Ports:
 //   "net" — to the attached router
 //
-// Params:
-//   injection_bw   NIC injection bandwidth            (default "3.2GB/s")
-//   mtu            packet payload size                (default "2KiB")
-//   ack            enable ACK/timeout retry protocol  (default false)
-//   retry_max      retransmissions before giving up   (default 4;
-//                  0 = detect and count loss, never retransmit)
-//   retry_timeout  first retransmit timeout           (default "500us")
-//   retry_backoff  timeout multiplier per attempt     (default 2.0)
+// Params: the endpoint keys that every endpoint type's list in
+// net_lib.cpp includes (sstsim --list-components prints them).
+// `retry_max` 0 detects and counts loss but never retransmits.
 #pragma once
 
 #include <cstdint>

@@ -16,16 +16,8 @@
 // the delivery time of the event being handled, so behavior is
 // byte-identical at any rank count, with or without rebalancing.
 //
-// Params:
-//   x, y                 this node's torus coordinate        (default 0, 0)
-//   size_x, size_y       torus extents                       (default 8, 8)
-//   min_delay            forwarding delay quantum            (default 20ns)
-//   self_delay           per-service-hop self-link latency   (default 5ns)
-//   service_hops         self-bounces per token in the zone  (default 8)
-//   hot_span             hot-zone radius (Chebyshev)         (default 1)
-//   bias_pct             % of forwards aimed at the center   (default 75)
-//   drift_period         time between hot-center steps       (default 200us)
-//   initial_tokens       tokens this node emits in setup()   (default 2)
+// Params: the "net.HotspotPhold" list registered in net_lib.cpp (sstsim
+// --list-components prints it).
 #pragma once
 
 #include <array>

@@ -7,6 +7,9 @@
 // blocking condition (a compute delay or an awaited set of messages)
 // resolves.  Motifs are primary components: the simulation ends when all
 // of them have finished their iterations.
+//
+// Params: the list each motif type registers in net_lib.cpp (sstsim
+// --list-components prints them).
 #pragma once
 
 #include <cstdint>
@@ -75,7 +78,6 @@ class MotifEndpoint : public NetEndpoint {
 };
 
 /// Rank 0 and 1 bounce a message back and forth; other ranks idle.
-/// Params: iterations (100), msg_bytes (8)
 class PingPongMotif final : public MotifEndpoint {
  public:
   explicit PingPongMotif(Params& params);
@@ -90,11 +92,9 @@ class PingPongMotif final : public MotifEndpoint {
   unsigned phase_ = 0;
 };
 
-/// 3-D periodic halo exchange on a px*py*pz process grid:
-/// per iteration, exchange one message with each of 6 face neighbours,
-/// then compute.
-/// Params: px, py, pz (grid; px*py*pz == num_nodes), msg_bytes (64KiB),
-///         compute ("10us"), iterations (10)
+/// 3-D periodic halo exchange on a px*py*pz process grid (px*py*pz ==
+/// num_nodes): per iteration, exchange one message with each of 6 face
+/// neighbours, then compute.
 class HaloExchangeMotif final : public MotifEndpoint {
  public:
   explicit HaloExchangeMotif(Params& params);
@@ -113,7 +113,6 @@ class HaloExchangeMotif final : public MotifEndpoint {
 };
 
 /// Recursive-doubling allreduce (requires power-of-two node count).
-/// Params: msg_bytes (8), iterations (100), compute ("1us")
 class AllreduceMotif final : public MotifEndpoint {
  public:
   explicit AllreduceMotif(Params& params);
@@ -132,7 +131,7 @@ class AllreduceMotif final : public MotifEndpoint {
 };
 
 /// Every rank sends a personalized message to every other rank, then
-/// computes.  Params: msg_bytes (4KiB), iterations (10), compute ("10us")
+/// computes.
 class AllToAllMotif final : public MotifEndpoint {
  public:
   explicit AllToAllMotif(Params& params);
@@ -148,12 +147,11 @@ class AllToAllMotif final : public MotifEndpoint {
   unsigned phase_ = 0;
 };
 
-/// Wavefront sweep (Sweep3D-style): ranks form a px*py pipeline; each
-/// rank waits for its west and north inputs, computes, then feeds east
-/// and south.  Successive sweeps pipeline through the grid, so the motif
-/// measures both fill latency and steady-state wavefront throughput.
-/// Params: px, py (px*py == num_nodes), msg_bytes (16KiB),
-///         compute ("20us"), sweeps (8)
+/// Wavefront sweep (Sweep3D-style): ranks form a px*py pipeline (px*py ==
+/// num_nodes); each rank waits for its west and north inputs, computes,
+/// then feeds east and south.  Successive sweeps pipeline through the
+/// grid, so the motif measures both fill latency and steady-state
+/// wavefront throughput.
 class SweepMotif final : public MotifEndpoint {
  public:
   explicit SweepMotif(Params& params);
@@ -171,12 +169,10 @@ class SweepMotif final : public MotifEndpoint {
 };
 
 /// Composite application profile: per timestep, compute, then a 3-D halo
-/// exchange (optional), then a number of small allreduce-style global
-/// phases (optional).  Parameterized to mimic the communication signature
-/// of production codes (CTH, SAGE, xNOBEL, Charon in the bandwidth study).
-/// Params: px, py, pz, compute ("1ms"), halo_bytes (0 disables),
-///         collective_bytes (0 disables), collective_count (1),
-///         iterations (10)
+/// exchange (skipped when halo_bytes is 0), then collective_count small
+/// allreduce-style global phases (skipped when collective_bytes is 0).
+/// Parameterized to mimic the communication signature of production codes
+/// (CTH, SAGE, xNOBEL, Charon in the bandwidth study).
 class AppProfileMotif final : public MotifEndpoint {
  public:
   explicit AppProfileMotif(Params& params);

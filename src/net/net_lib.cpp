@@ -35,66 +35,25 @@ void register_ckpt_events() {
 void register_library() {
   static const bool once = [] {
     Factory& f = Factory::instance();
-    auto reg = [&f](const std::string& type, auto maker) {
-      f.register_component(
-          type, [maker](Simulation& sim, const std::string& name,
-                        Params& p) -> Component* { return maker(sim, name, p); });
+    // Every endpoint type declares the shared NetEndpoint keys too.
+    auto endpoint = [](std::vector<ParamDoc> own) {
+      own.insert(own.end(), {
+          {"injection_bw", "endpoint injection bandwidth", "3.2GB/s"},
+          {"mtu", "packet payload size in bytes", "2048"},
+          {"ack", "end-to-end ACK/retry protocol", "false"},
+          {"retry_max", "delivery attempts before delivery_failed", "4"},
+          {"retry_timeout", "initial retry timeout", "500us"},
+          {"retry_backoff", "timeout multiplier per retry", "2"},
+      });
+      return own;
     };
-    reg("net.Router", [](Simulation& sim, const std::string& n, Params& p) {
-      return static_cast<Component*>(sim.add_component<Router>(n, p));
-    });
-    reg("net.TrafficGenerator",
-        [](Simulation& sim, const std::string& n, Params& p) {
-          return static_cast<Component*>(
-              sim.add_component<TrafficGenerator>(n, p));
-        });
-    reg("net.PingPong", [](Simulation& sim, const std::string& n, Params& p) {
-      return static_cast<Component*>(sim.add_component<PingPongMotif>(n, p));
-    });
-    reg("net.HaloExchange",
-        [](Simulation& sim, const std::string& n, Params& p) {
-          return static_cast<Component*>(
-              sim.add_component<HaloExchangeMotif>(n, p));
-        });
-    reg("net.Allreduce", [](Simulation& sim, const std::string& n, Params& p) {
-      return static_cast<Component*>(sim.add_component<AllreduceMotif>(n, p));
-    });
-    reg("net.AllToAll", [](Simulation& sim, const std::string& n, Params& p) {
-      return static_cast<Component*>(sim.add_component<AllToAllMotif>(n, p));
-    });
-    reg("net.Sweep", [](Simulation& sim, const std::string& n, Params& p) {
-      return static_cast<Component*>(sim.add_component<SweepMotif>(n, p));
-    });
-    reg("net.AppProfile",
-        [](Simulation& sim, const std::string& n, Params& p) {
-          return static_cast<Component*>(
-              sim.add_component<AppProfileMotif>(n, p));
-        });
-    reg("net.HotspotPhold",
-        [](Simulation& sim, const std::string& n, Params& p) {
-          return static_cast<Component*>(sim.add_component<HotspotNode>(n, p));
-        });
-    // Shared NetEndpoint knobs, re-attached to every endpoint type.
-    const std::vector<ParamDoc> endpoint_docs = {
-        {"injection_bw", "endpoint injection bandwidth", "3.2GB/s"},
-        {"mtu", "packet payload size in bytes", "2048"},
-        {"ack", "end-to-end ACK/retry protocol", "false"},
-        {"retry_max", "delivery attempts before delivery_failed", "4"},
-        {"retry_timeout", "initial retry timeout", "500us"},
-        {"retry_backoff", "timeout multiplier per retry", "2"},
-    };
-    auto doc_endpoint = [&f, &endpoint_docs](const std::string& type,
-                                             std::vector<ParamDoc> own) {
-      own.insert(own.end(), endpoint_docs.begin(), endpoint_docs.end());
-      f.describe_params(type, std::move(own));
-    };
-    f.describe_params("net.Router", {
+    f.register_component<Router>("net.Router", {
         {"ports", "number of router ports", ""},
         {"bandwidth", "per-port link bandwidth", "10GB/s"},
         {"hop_latency", "per-hop forwarding latency", "50ns"},
         {"ttl", "deflection-routing hop budget", "64"},
     });
-    doc_endpoint("net.TrafficGenerator", {
+    f.register_component<TrafficGenerator>("net.TrafficGenerator", endpoint({
         {"pattern",
          "uniform | transpose | neighbor | hotspot | tornado", "uniform"},
         {"msg_bytes", "message size in bytes", "512"},
@@ -102,37 +61,47 @@ void register_library() {
         {"warmup", "measurement warmup time", "5us"},
         {"hotspot_fraction", "traffic share aimed at the hotspot", "0.2"},
         {"tornado_stride", "tornado pattern stride", "3"},
-    });
-    doc_endpoint("net.PingPong", {
+    }));
+    f.register_component<PingPongMotif>("net.PingPong", endpoint({
         {"iterations", "round trips to complete", "100"},
         {"msg_bytes", "message size in bytes", "8"},
-    });
-    doc_endpoint("net.HaloExchange", {
+    }));
+    f.register_component<HaloExchangeMotif>("net.HaloExchange", endpoint({
         {"px", "process grid extent x", "2"},
         {"py", "process grid extent y", "2"},
         {"pz", "process grid extent z", "1"},
         {"msg_bytes", "halo face size in bytes", "65536"},
         {"compute", "compute phase per iteration", "10us"},
         {"iterations", "halo-exchange iterations", "10"},
-    });
-    doc_endpoint("net.Allreduce", {
+    }));
+    f.register_component<AllreduceMotif>("net.Allreduce", endpoint({
         {"iterations", "allreduce rounds", "100"},
         {"msg_bytes", "contribution size in bytes", "8"},
         {"compute", "compute phase per round", "1us"},
-    });
-    doc_endpoint("net.AllToAll", {
+    }));
+    f.register_component<AllToAllMotif>("net.AllToAll", endpoint({
         {"iterations", "all-to-all rounds", "10"},
         {"msg_bytes", "per-peer message size in bytes", "4096"},
         {"compute", "compute phase per round", "10us"},
-    });
-    doc_endpoint("net.Sweep", {
+    }));
+    f.register_component<SweepMotif>("net.Sweep", endpoint({
         {"px", "process grid extent x", "2"},
         {"py", "process grid extent y", "2"},
         {"msg_bytes", "wavefront message size in bytes", "16384"},
         {"compute", "compute phase per sweep step", "20us"},
         {"sweeps", "wavefront sweeps to run", "8"},
-    });
-    f.describe_params("net.HotspotPhold", {
+    }));
+    f.register_component<AppProfileMotif>("net.AppProfile", endpoint({
+        {"px", "process grid extent x", "2"},
+        {"py", "process grid extent y", "2"},
+        {"pz", "process grid extent z", "1"},
+        {"compute", "compute phase per iteration", "1ms"},
+        {"halo_bytes", "halo exchanged per iteration", "0"},
+        {"collective_bytes", "collective payload per iteration", "0"},
+        {"collective_count", "collectives per iteration", "1"},
+        {"iterations", "profile iterations", "10"},
+    }));
+    f.register_component<HotspotNode>("net.HotspotPhold", {
         {"x", "this node's torus coordinate x", "0"},
         {"y", "this node's torus coordinate y", "0"},
         {"size_x", "torus extent x", "8"},
@@ -144,16 +113,6 @@ void register_library() {
         {"bias_pct", "percent of forwards aimed at the hot center", "75"},
         {"drift_period", "time between hot-center steps", "200us"},
         {"initial_tokens", "tokens this node emits in setup()", "2"},
-    });
-    doc_endpoint("net.AppProfile", {
-        {"px", "process grid extent x", "2"},
-        {"py", "process grid extent y", "2"},
-        {"pz", "process grid extent z", "1"},
-        {"compute", "compute phase per iteration", "1ms"},
-        {"halo_bytes", "halo exchanged per iteration", "0"},
-        {"collective_bytes", "collective payload per iteration", "0"},
-        {"collective_count", "collectives per iteration", "1"},
-        {"iterations", "profile iterations", "10"},
     });
     register_ckpt_events();
     return true;

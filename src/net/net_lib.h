@@ -11,9 +11,11 @@
 
 namespace sst::net {
 
-/// Registers "net.Router", "net.TrafficGenerator", and the motif endpoints
-/// ("net.PingPong", "net.HaloExchange", "net.Allreduce", "net.AllToAll",
-/// "net.AppProfile") with the process-wide Factory.  Idempotent.
+/// Registers "net.Router", "net.TrafficGenerator", "net.HotspotPhold" and
+/// the motif endpoints ("net.PingPong", "net.HaloExchange",
+/// "net.Allreduce", "net.AllToAll", "net.Sweep", "net.AppProfile"), each
+/// with its declared parameter list, with the process-wide Factory.
+/// Idempotent.
 void register_library();
 
 }  // namespace sst::net

@@ -16,12 +16,9 @@
 // dropped and counted ("fault_dropped"), and a hop TTL bounds deflection
 // loops ("ttl_dropped").  The healthy path is unchanged.
 //
-// Params:
-//   ports       port count                          (required)
-//   bandwidth   per-port link bandwidth             (default "10GB/s")
-//   hop_latency per-packet routing/processing time  (default "50ns")
-//   ttl         max hops before a packet is dropped (default 64; only
-//               enforced while a local port is down)
+// Params: the "net.Router" list registered in net_lib.cpp (sstsim
+// --list-components prints it).  `ttl` is enforced only while a local
+// port is down.
 #pragma once
 
 #include <cstdint>

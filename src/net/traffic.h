@@ -3,14 +3,11 @@
 // x-axis, mean packet/message latency on the y-axis, saturation where the
 // curve turns vertical).
 //
-// Params (in addition to NetEndpoint's):
-//   pattern     uniform | transpose | neighbor | hotspot | tornado
-//               (default uniform; tornado sends to id + tornado_stride,
-//               the classic adversarial permutation for minimal routing)
-//   msg_bytes   message size                               (default 512)
-//   load        offered load as a fraction of injection_bw (default 0.1)
-//   warmup      statistics ignore messages posted earlier  (default "5us")
-//   hotspot_fraction  fraction of traffic to node 0        (default 0.2)
+// Params: the "net.TrafficGenerator" list registered in net_lib.cpp
+// (sstsim --list-components prints it).  The tornado pattern sends to
+// id + tornado_stride, the classic adversarial permutation for minimal
+// routing; the hotspot pattern aims hotspot_fraction of the traffic at
+// node 0.
 //
 // The generator runs until the simulation's end_time (it is not a primary
 // component).

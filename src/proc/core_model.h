@@ -19,12 +19,9 @@
 // Ports:
 //   "mem" — to the first cache level (or directly to a controller)
 //
-// Params:
-//   clock        core frequency                  (default "2GHz")
-//   issue_width  ops issued per cycle            (default 2)
-//   max_loads    outstanding load limit          (default 8)
-//   max_stores   outstanding store limit         (default 8)
-//   line_split   split memory ops at this stride (default 64)
+// Params: the "proc.Core" list registered in proc_lib.cpp (sstsim
+// --list-components prints it); it declares the workload keys that
+// make_workload reads too.
 #pragma once
 
 #include <cstdint>

@@ -11,9 +11,9 @@
 
 namespace sst::proc {
 
-/// Registers "proc.Core" with the process-wide Factory.  A core built this
-/// way constructs its workload from its own params (see
-/// workload_factory.h).  Idempotent.
+/// Registers "proc.Core", with its declared parameter list, with the
+/// process-wide Factory.  A core built this way constructs its workload
+/// from its own params (see workload_factory.h).  Idempotent.
 void register_library();
 
 }  // namespace sst::proc

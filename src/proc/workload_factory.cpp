@@ -47,7 +47,8 @@ WorkloadPtr make_workload(const Params& params) {
     return std::make_unique<PointerChase>(table, hops, seed);
   }
   throw ConfigError("unknown workload kernel '" + kernel +
-                    "' (known: stream, hpccg, lulesh, minimd, gups, chase)");
+                    "' (known: stream, hpccg, lulesh, minimd, gups, chase, "
+                    "trace)");
 }
 
 WorkloadPtr make_workload(std::string_view kernel) {

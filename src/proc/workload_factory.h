@@ -1,13 +1,8 @@
 // Builds Workload instances from string parameters, so processor cores can
-// be fully configured through the SDL layer.
-//
-// Recognized "workload" values and their parameters (all optional):
-//   stream : elements (1M),  iterations (1)
-//   hpccg  : nx, ny, nz (16 each), iterations (1)
-//   lulesh : n (12), iterations (1)
-//   minimd : atoms (4096), neighbors (40), iterations (1), seed (13)
-//   gups   : table ("16MiB"), updates (100000), seed (7)
-//   chase  : table ("16MiB"), hops (50000), seed (11)
+// be fully configured through the SDL layer.  "workload" selects the
+// kernel; the keys each kernel reads, with their defaults, are declared
+// once, in proc.Core's registered parameter list (proc_lib.cpp, printed
+// by sstsim --list-components).
 #pragma once
 
 #include "core/params.h"

@@ -29,7 +29,8 @@ void read_scalar_params(const JsonValue& jp, const std::string& ctx,
 
 // The members each JSON object of a description may have.  The settings
 // sections check their own keys (read_settings); component params and
-// the vm tlb/walker defaults are free-form.
+// the vm tlb/walker defaults are checked by validate(), against the
+// parameter list their type registers with the Factory.
 constexpr std::string_view kDocumentKeys[] = {
     "config", "observability", "checkpointing", "network",
     "components", "links", "vm", "faults"};
@@ -59,6 +60,28 @@ void check_members(const JsonValue& obj, std::string_view what,
     throw ConfigError("unknown " + std::string(what) + " key '" + key +
                       "' (known: " + list + ")");
   }
+}
+
+/// "(<type>): unknown param '<key>' (known: ...)" for each key of
+/// `params` that the registered `type` does not declare; the caller puts
+/// the owner ("component 'l1'", "vm.tlb") in front.  An unregistered type
+/// is reported as such where it is used.
+std::vector<std::string> unknown_params(const Factory& factory,
+                                        const std::string& type,
+                                        const Params& params) {
+  std::vector<std::string> found;
+  if (!factory.known(type)) return found;
+  const std::vector<ParamDoc>& docs = factory.param_docs(type);
+  for (const auto& [key, value] : params) {
+    if (std::ranges::find(docs, key, &ParamDoc::name) != docs.end()) continue;
+    std::string list;
+    for (const ParamDoc& d : docs) {
+      list.append(list.empty() ? "" : ", ").append(d.name);
+    }
+    found.push_back("(" + type + "): unknown param '" + key +
+                    "' (known: " + list + ")");
+  }
+  return found;
 }
 
 /// Fault probabilities + parsed delay bounds for one ConfigLinkFault.
@@ -103,6 +126,9 @@ std::vector<std::string> ConfigGraph::validate(const Factory& factory) const {
       problems.push_back("component '" + c.name + "' has unknown type '" +
                          c.type + "'");
     }
+    for (const auto& u : unknown_params(factory, c.type, c.params)) {
+      problems.push_back("component '" + c.name + "' " + u);
+    }
     if (c.rank && *c.rank >= sim_config_.num_ranks) {
       problems.push_back("component '" + c.name + "' pinned to rank " +
                          std::to_string(*c.rank) + " but num_ranks is " +
@@ -125,6 +151,15 @@ std::vector<std::string> ConfigGraph::validate(const Factory& factory) const {
       if (!seen.insert(e).second) {
         problems.push_back("network endpoint listed twice: '" + e + "'");
       }
+    }
+  }
+  if (vm_.present) {
+    for (const auto& u : unknown_params(factory, "vm.Tlb", vm_.tlb_defaults)) {
+      problems.push_back("vm.tlb " + u);
+    }
+    for (const auto& u : unknown_params(factory, "vm.PageTableWalker",
+                                        vm_.walker_defaults)) {
+      problems.push_back("vm.walker " + u);
     }
   }
   if (vm_.present && vm_.enable) {
@@ -222,13 +257,16 @@ std::pair<std::string, std::string> ConfigGraph::link_peer(
                     "separately)");
 }
 
-std::unique_ptr<Simulation> ConfigGraph::build(const Factory& factory) const {
+void ConfigGraph::check(const Factory& factory) const {
   const auto problems = validate(factory);
-  if (!problems.empty()) {
-    std::string msg = "invalid ConfigGraph:";
-    for (const auto& p : problems) msg += "\n  - " + p;
-    throw ConfigError(msg);
-  }
+  if (problems.empty()) return;
+  std::string msg = "invalid system description:";
+  for (const auto& p : problems) msg += "\n  - " + p;
+  throw ConfigError(msg);
+}
+
+std::unique_ptr<Simulation> ConfigGraph::build(const Factory& factory) const {
+  check(factory);
   auto sim = std::make_unique<Simulation>(sim_config_);
   std::uint32_t core_order = 0;
   for (const auto& c : components_) {
@@ -525,9 +563,7 @@ JsonValue ConfigGraph::to_json() const {
     jc["name"] = c.name;
     jc["type"] = c.type;
     JsonObject params;
-    for (const auto& k : c.params.keys()) {
-      params[k] = JsonValue(*c.params.raw(k));
-    }
+    for (const auto& [k, v] : c.params) params[k] = JsonValue(v);
     jc["params"] = JsonValue(std::move(params));
     if (c.rank) jc["rank"] = JsonValue(static_cast<double>(*c.rank));
     comps.push_back(JsonValue(std::move(jc)));
@@ -556,18 +592,14 @@ JsonValue ConfigGraph::to_json() const {
   if (vm_.present) {
     JsonObject jv;
     jv["enable"] = JsonValue(vm_.enable);
-    if (!vm_.tlb_defaults.keys().empty()) {
+    if (!vm_.tlb_defaults.empty()) {
       JsonObject jt;
-      for (const auto& k : vm_.tlb_defaults.keys()) {
-        jt[k] = JsonValue(*vm_.tlb_defaults.raw(k));
-      }
+      for (const auto& [k, v] : vm_.tlb_defaults) jt[k] = JsonValue(v);
       jv["tlb"] = JsonValue(std::move(jt));
     }
-    if (!vm_.walker_defaults.keys().empty()) {
+    if (!vm_.walker_defaults.empty()) {
       JsonObject jw;
-      for (const auto& k : vm_.walker_defaults.keys()) {
-        jw[k] = JsonValue(*vm_.walker_defaults.raw(k));
-      }
+      for (const auto& [k, v] : vm_.walker_defaults) jw[k] = JsonValue(v);
       jv["walker"] = JsonValue(std::move(jw));
     }
     doc["vm"] = JsonValue(std::move(jv));

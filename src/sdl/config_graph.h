@@ -66,6 +66,13 @@
 //                      "dir": "ckpt", "keep": 3 }
 // }
 //
+// A component's "params", and the "vm" section's "tlb" and "walker"
+// defaults, may use only the keys that vm.Tlb, vm.PageTableWalker or the
+// component's type declares in its Factory registration (sstsim
+// --list-components prints them); validate() rejects any other key, so a
+// misspelled one fails alike from the document, an override, a daemon
+// request or a sweep axis.
+//
 // Every scalar member of "config", "observability", "checkpointing" and
 // "network" is a run setting (settings.h): a string, number or bool read
 // as the text its row parses, so "seed": 7 and "seed": "7" are the same.
@@ -173,10 +180,15 @@ class ConfigGraph {
   [[nodiscard]] const ConfigVm& vm() const { return vm_; }
 
   /// Structural validation: unique names, known types (against the given
-  /// factory), link endpoints exist, no port used twice, parsable
-  /// latencies.  Returns the list of problems (empty = valid).
+  /// factory), only the params each type declares (component params and
+  /// the vm tlb/walker defaults), link endpoints exist, no port used
+  /// twice, parsable latencies.  Returns the list of problems (empty =
+  /// valid).
   [[nodiscard]] std::vector<std::string> validate(
       const Factory& factory) const;
+
+  /// Throws ConfigError listing validate()'s problems, if any.
+  void check(const Factory& factory = Factory::instance()) const;
 
   /// Instantiates the graph into a fresh Simulation.  Throws ConfigError
   /// when validation fails.

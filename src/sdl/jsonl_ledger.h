@@ -7,13 +7,17 @@
 // record type, header check, error type and commit style.
 #pragma once
 
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/atomic_file.h"
+#include "core/types.h"
 #include "sdl/json.h"
+#include "sdl/settings.h"
 
 namespace sst::sdl {
 
@@ -65,6 +69,24 @@ class JsonlLedger {
         path_, header_written_ ? lines : header + "\n" + lines);
     if (!err.empty()) throw Error("ledger '" + path_ + "': " + err);
     header_written_ = true;
+  }
+
+  /// Member `key` of a loaded line as a whole number in [0, hi]
+  /// (setting_count); when absent, `fallback`, or an error if there is
+  /// none.  Any other value throws Error naming the file and the member.
+  [[nodiscard]] std::uint64_t count(
+      const JsonValue& line, const char* key, std::uint64_t hi,
+      std::optional<std::uint64_t> fallback = std::nullopt) const {
+    const std::string what = "ledger '" + path_ + "' field \"" + key + "\"";
+    if (!line.has(key)) {
+      if (fallback) return *fallback;
+      throw Error(what + " is missing");
+    }
+    try {
+      return setting_count(line.at(key), what, 0, hi);
+    } catch (const ConfigError& e) {
+      throw Error(e.what());
+    }
   }
 
   [[nodiscard]] const std::string& path() const { return path_; }

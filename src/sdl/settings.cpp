@@ -292,6 +292,11 @@ std::string setting_text(const JsonValue& value, std::string_view what) {
   throw ConfigError(std::string(what) + " must be a string, number or bool");
 }
 
+std::uint64_t setting_count(const JsonValue& value, std::string_view what,
+                            std::uint64_t lo, std::uint64_t hi) {
+  return parse_count(what, setting_text(value, what), lo, hi);
+}
+
 void read_settings(ConfigGraph& graph, std::string_view section,
                    const JsonValue& members) {
   for (const auto& [key, value] : members.as_object()) {

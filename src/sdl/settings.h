@@ -5,6 +5,7 @@
 // sweeps all set a setting through its row.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -42,6 +43,12 @@ inline constexpr std::string_view kSettingSections[] = {
 /// in plain decimal with shortest round-trip digits, a bool as true/false.
 [[nodiscard]] std::string setting_text(const JsonValue& value,
                                        std::string_view what);
+/// A JSON member that sizes something (a sweep spec count, a daemon run
+/// field, a ledger field) as parse_count reads its setting_text: a whole
+/// number in [lo, hi].  Throws ConfigError naming `what`.
+[[nodiscard]] std::uint64_t setting_count(const JsonValue& value,
+                                          std::string_view what,
+                                          std::uint64_t lo, std::uint64_t hi);
 
 /// Sets `section`'s settings from a JSON object's members, except the list
 /// network.endpoints; an unknown key fails listing the section's keys.

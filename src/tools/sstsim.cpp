@@ -188,15 +188,13 @@ int help(const char* argv0) {
   return 0;
 }
 
-/// Prints the factory registry: every component type, with its declared
-/// parameters when the library documented them.
+/// Prints the factory registry: every component type with its declared
+/// parameters, the only keys a model may set for it.
 void list_components(std::ostream& os) {
   const sst::Factory& factory = sst::Factory::instance();
   for (const auto& type : factory.registered_types()) {
     os << type << "\n";
-    const auto* docs = factory.param_docs(type);
-    if (docs == nullptr) continue;
-    for (const auto& doc : *docs) {
+    for (const auto& doc : factory.param_docs(type)) {
       os << "  " << doc.name;
       if (doc.default_value.empty()) {
         os << " (required)";

@@ -18,8 +18,8 @@
 //   "ptw"   — page-table walker (WalkRequest out, WalkResponse in)
 //   "inval" — shootdown broadcast in, ACK out (optional)
 //
-// Params (all defaulted; see vm_lib.cpp for the docs):
-//   levels, l<i>_sets, l<i>_ways, l<i>_latency, page_sizes, enabled
+// Params: the "vm.Tlb" list registered in vm_lib.cpp (sstsim
+// --list-components prints it).
 #pragma once
 
 #include <cstdint>

@@ -48,30 +48,25 @@ void register_ckpt_events() {
 void register_library() {
   static const bool once = [] {
     Factory& f = Factory::instance();
-    f.register_component(
-        "vm.Tlb",
-        [](Simulation& sim, const std::string& name, Params& p) -> Component* {
-          return sim.add_component<Tlb>(name, p);
-        });
-    f.register_component(
-        "vm.PageTableWalker",
-        [](Simulation& sim, const std::string& name, Params& p) -> Component* {
-          return sim.add_component<PageTableWalker>(name, p);
-        });
-    f.describe_params("vm.Tlb", {
+    f.register_component<Tlb>("vm.Tlb", {
         {"levels", "TLB hierarchy depth (1..4)", "2"},
-        {"l1_sets", "level-1 sets (power of 2); l2_/l3_/l4_ likewise", "16"},
-        {"l1_ways", "level-1 ways; l2_/l3_/l4_ likewise", "4"},
-        {"l1_latency", "level-1 lookup latency; l2_/l3_/l4_ likewise",
-         "300ps"},
+        {"l1_sets", "level-1 sets (power of 2)", "16"},
+        {"l1_ways", "level-1 ways", "4"},
+        {"l1_latency", "level-1 lookup latency", "300ps"},
         {"l2_sets", "level-2 sets (power of 2)", "128"},
         {"l2_ways", "level-2 ways", "8"},
         {"l2_latency", "level-2 lookup latency", "1ns"},
+        {"l3_sets", "level-3 sets (power of 2)", "256"},
+        {"l3_ways", "level-3 ways", "8"},
+        {"l3_latency", "level-3 lookup latency", "2ns"},
+        {"l4_sets", "level-4 sets (power of 2)", "256"},
+        {"l4_ways", "level-4 ways", "8"},
+        {"l4_latency", "level-4 lookup latency", "2ns"},
         {"page_sizes", "translated page sizes, e.g. \"4KiB,2MiB,1GiB\"",
          "4KiB,2MiB,1GiB"},
         {"enabled", "false = pass addresses through untranslated", "true"},
     });
-    f.describe_params("vm.PageTableWalker", {
+    f.register_component<PageTableWalker>("vm.PageTableWalker", {
         {"num_tlbs", "TLBs served (ports tlb0../inval0..)", "1"},
         {"walk_depth", "radix-walk levels per cold walk (1..5)", "4"},
         {"step_latency", "walker pipeline latency per PTE step", "500ps"},

@@ -1,7 +1,7 @@
 // Registration of the vm element library ("vm.Tlb",
-// "vm.PageTableWalker") into the process-wide Factory, parameter docs
-// included, plus the checkpoint event-registry entries for the vm protocol
-// events.
+// "vm.PageTableWalker") into the process-wide Factory, each with its
+// declared parameter list, plus the checkpoint event-registry entries for
+// the vm protocol events.
 #pragma once
 
 #include "vm/page_table.h"

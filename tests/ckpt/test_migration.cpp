@@ -49,9 +49,7 @@ Params params_for(const std::string& type) {
       {"ports", "4"},
   };
   Params p;
-  const auto* docs = Factory::instance().param_docs(type);
-  if (docs == nullptr) return p;
-  for (const auto& d : *docs) {
+  for (const auto& d : Factory::instance().param_docs(type)) {
     if (!d.default_value.empty()) continue;
     // Contextually required: proc.Core only reads it under
     // workload=trace, and the default workload is stream.

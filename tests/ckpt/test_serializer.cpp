@@ -168,21 +168,6 @@ TEST(SerializerRoundTrip, UnitAlgebraRandomized) {
   }
 }
 
-TEST(SerializerRoundTrip, ParamsRandomized) {
-  std::mt19937_64 gen(0xFACADE);
-  for (int trial = 0; trial < 50; ++trial) {
-    Params p;
-    for (std::size_t i = gen() % 10; i > 0; --i) {
-      p.set("key" + std::to_string(gen() % 1000), random_string(gen, 30));
-    }
-    Params out = round_trip(p);
-    EXPECT_EQ(out.keys(), p.keys());
-    for (const auto& k : p.keys()) {
-      EXPECT_EQ(out.raw(k), p.raw(k));
-    }
-  }
-}
-
 // ---------------------------------------------------------------------
 // Polymorphic events through the registry
 // ---------------------------------------------------------------------

@@ -10,13 +10,12 @@ namespace {
 
 TEST(Factory, RegisterAndCreate) {
   Factory f;
-  f.register_component(
-      "test.Echo",
-      [](Simulation& sim, const std::string& name, Params& p) -> Component* {
-        return sim.add_component<testing::Echo>(name, p);
-      });
+  f.register_component<testing::Echo>(
+      "test.Echo", {{"label", "a declared key", "x"}});
   EXPECT_TRUE(f.known("test.Echo"));
   EXPECT_FALSE(f.known("test.Nope"));
+  ASSERT_EQ(f.param_docs("test.Echo").size(), 1u);
+  EXPECT_EQ(f.param_docs("test.Echo")[0].name, "label");
 
   Simulation sim;
   Params p;
@@ -26,13 +25,25 @@ TEST(Factory, RegisterAndCreate) {
   EXPECT_EQ(sim.find_component("e0"), c);
 }
 
-TEST(Factory, UnknownTypeThrowsWithKnownList) {
+TEST(Factory, CustomBuilderRunsOnCreate) {
   Factory f;
+  int built = 0;
   f.register_component(
-      "lib.A", [](Simulation& sim, const std::string& name,
-                  Params& p) -> Component* {
+      "test.Echo", {},
+      [&built](Simulation& sim, const std::string& name,
+               Params& p) -> Component* {
+        ++built;
         return sim.add_component<testing::Echo>(name, p);
       });
+  Simulation sim;
+  Params p;
+  ASSERT_NE(f.create(sim, "test.Echo", "e0", p), nullptr);
+  EXPECT_EQ(built, 1);
+}
+
+TEST(Factory, UnknownTypeThrowsWithKnownList) {
+  Factory f;
+  f.register_component<testing::Echo>("lib.A", {});
   Simulation sim;
   Params p;
   try {
@@ -41,26 +52,20 @@ TEST(Factory, UnknownTypeThrowsWithKnownList) {
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("lib.A"), std::string::npos);
   }
+  EXPECT_THROW((void)f.param_docs("lib.B"), ConfigError);
 }
 
 TEST(Factory, DuplicateRegistrationThrows) {
   Factory f;
-  auto builder = [](Simulation& sim, const std::string& name,
-                    Params& p) -> Component* {
-    return sim.add_component<testing::Echo>(name, p);
-  };
-  f.register_component("dup.X", builder);
-  EXPECT_THROW(f.register_component("dup.X", builder), ConfigError);
+  f.register_component<testing::Echo>("dup.X", {});
+  EXPECT_THROW(f.register_component<testing::Echo>("dup.X", {}),
+               ConfigError);
 }
 
 TEST(Factory, RegisteredTypesSorted) {
   Factory f;
-  auto builder = [](Simulation& sim, const std::string& name,
-                    Params& p) -> Component* {
-    return sim.add_component<testing::Echo>(name, p);
-  };
-  f.register_component("b.Y", builder);
-  f.register_component("a.X", builder);
+  f.register_component<testing::Echo>("b.Y", {});
+  f.register_component<testing::Echo>("a.X", {});
   const auto types = f.registered_types();
   ASSERT_EQ(types.size(), 2u);
   EXPECT_EQ(types[0], "a.X");

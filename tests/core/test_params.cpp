@@ -94,27 +94,6 @@ TEST(Params, PeriodAndTime) {
   EXPECT_THROW((void)p.find_time("bad", "1ns"), ConfigError);
 }
 
-TEST(Params, Scope) {
-  Params p;
-  p.set("l1.size", "32KiB");
-  p.set("l1.assoc", "4");
-  p.set("l2.size", "256KiB");
-  const Params l1 = p.scope("l1.");
-  EXPECT_EQ(l1.size(), 2u);
-  EXPECT_EQ(l1.find<std::uint64_t>("size", 0), 32768u);
-  EXPECT_FALSE(l1.contains("l2.size"));
-}
-
-TEST(Params, UnusedKeyTracking) {
-  Params p;
-  p.set("used", "1");
-  p.set("never", "1");
-  (void)p.find<std::uint32_t>("used", 0);
-  const auto unused = p.unused_keys();
-  ASSERT_EQ(unused.size(), 1u);
-  EXPECT_EQ(unused[0], "never");
-}
-
 TEST(Params, MergeOverwrites) {
   Params a;
   a.set("x", "1");
@@ -130,7 +109,8 @@ TEST(Params, MergeOverwrites) {
 
 TEST(Params, InitializerListAndKeys) {
   Params p{{"a", "1"}, {"b", "2"}};
-  const auto keys = p.keys();
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : p) keys.push_back(key);
   ASSERT_EQ(keys.size(), 2u);
   EXPECT_EQ(keys[0], "a");
   EXPECT_EQ(keys[1], "b");

@@ -111,6 +111,45 @@ TEST_F(GraphCacheTest, AdmitRejectsInvalidModelsWithoutCachingThem) {
   EXPECT_THROW((void)cache.admit(bad, Factory::instance()), ConfigError);
 }
 
+TEST_F(GraphCacheTest, AdmitRejectsUnparsableModelsAndKeepsTheOrder) {
+  const std::string unparsable[] = {
+      "{\"components\": [",                        // malformed JSON
+      R"({"dorp": 1, "components": []})",            // unknown SDL key
+      R"({"config": {"seed": "x"}, "components": []})",  // bad setting
+  };
+  GraphCache cache(2);
+  for (const std::string& bad : unparsable) {
+    EXPECT_THROW((void)cache.admit(bad, Factory::instance()), ConfigError);
+  }
+  EXPECT_EQ(cache.size(), 0u);
+
+  std::string a = kModel;
+  std::string b = kModel;
+  b[b.find("2048")] = '4';
+  std::string c = kModel;
+  c[c.find("2ns")] = '3';
+  std::string d = kModel;
+  d[d.find('7')] = '8';
+  (void)cache.admit(a, Factory::instance());
+  (void)cache.admit(b, Factory::instance());
+  for (const std::string& bad : unparsable) {
+    EXPECT_THROW((void)cache.admit(bad, Factory::instance()), ConfigError);
+  }
+  EXPECT_EQ(cache.size(), 2u);
+  // The failed admissions left the FIFO as it was: c evicts a, d evicts
+  // b, and the cache never holds more than its capacity.
+  (void)cache.admit(c, Factory::instance());
+  (void)cache.admit(d, Factory::instance());
+  EXPECT_EQ(cache.size(), 2u);
+  const std::uint64_t misses = cache.misses();
+  (void)cache.admit(c, Factory::instance());
+  (void)cache.admit(d, Factory::instance());
+  EXPECT_EQ(cache.misses(), misses);
+  (void)cache.admit(b, Factory::instance());
+  EXPECT_EQ(cache.misses(), misses + 1);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
 TEST_F(GraphCacheTest, EvictsOldestBeyondCapacity) {
   GraphCache cache(2);
   std::string a = kModel;

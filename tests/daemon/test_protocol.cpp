@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <exception>
+#include <string>
+#include <vector>
 
 #include "daemon/protocol.h"
 
@@ -168,6 +172,104 @@ TEST(Daemon, LineBufferReassemblesSplitLines) {
   ASSERT_TRUE(buf.next(line));
   EXPECT_EQ(line, "third");
   EXPECT_EQ(buf.buffered(), 0u);
+}
+
+TEST(Daemon, MistypedFieldsAreDaemonErrors) {
+  // Each used to escape as sdl::JsonError (or, for test_signal, be cast
+  // unchecked); the daemon caught only DaemonError and exited.
+  const std::string run = R"({"op":"run","model":"{}","out":"/tmp/x",)";
+  for (const std::string& line :
+       {std::string(R"({"op":5})"), std::string(R"({"op":null})"),
+        std::string(R"({"op":"result","id":5})"),
+        run + R"("id":5})", run + R"("overrides":[1]})",
+        run + R"("overrides":{"/config/seed":7}})",
+        std::string(R"({"op":"run","model":"{}","out":5})"),
+        run + R"("retries":"many"})", run + R"("test_signal":-1})",
+        run + R"("test_signal":65})", run + R"("test_signal":2.5})",
+        run + R"("test_signal":1e30})", run + R"("test_signal":"x"})"}) {
+    try {
+      (void)parse_client_message(line);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const DaemonError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << line << " threw a non-DaemonError: " << e.what();
+    }
+  }
+  EXPECT_EQ(parse_client_message(run + R"("test_signal":11})").run.test_signal,
+            11);
+}
+
+std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// A JSON value of a random type, biased toward the edge values the
+/// protocol's counts and strings must refuse.
+sdl::JsonValue random_value(std::uint64_t& state) {
+  static const double kNumbers[] = {-1, 0, 2.5, 64, 65, 1e30, -1e30,
+                                    4294967296.0, 18446744073709551616.0};
+  switch (splitmix64(state) % 6) {
+    case 0: return sdl::JsonValue(nullptr);
+    case 1: return sdl::JsonValue(splitmix64(state) % 2 == 0);
+    case 2: return sdl::JsonValue(kNumbers[splitmix64(state) % 9]);
+    case 3: return sdl::JsonValue(std::to_string(splitmix64(state) % 100));
+    case 4: return sdl::JsonValue(sdl::JsonArray{sdl::JsonValue(1)});
+    default: return sdl::JsonValue(sdl::JsonObject{{"k", sdl::JsonValue(1)}});
+  }
+}
+
+TEST(Daemon, MutatedRequestLinesReturnOrThrowDaemonError) {
+  // Seeded mutations of valid request lines: a member's value replaced
+  // by one of another type or range, a member added, or a byte changed.
+  // Whatever the line, parsing returns or throws DaemonError.
+  const std::vector<std::string> seeds = {
+      run_request_to_line(sample_request()),
+      R"({"op":"run","model":"{}","out":"/tmp/x","ranks":4,"end":"1ms",)"
+      R"("seed":7,"timeout":12.5,"test_signal":0,"overrides":{"/a":"1"}})",
+      R"({"op":"status"})", R"({"op":"drain"})",
+      R"({"op":"result","id":"r7"})"};
+  static const char* kKeys[] = {"op",      "id",      "model",  "out",
+                                "overrides", "timeout", "retries", "backoff",
+                                "ranks",   "end",     "seed",   "test_signal"};
+  std::uint64_t state = 0x5eed2023;
+  int parsed = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::string& seed = seeds[trial % seeds.size()];
+    sdl::JsonValue doc = sdl::JsonValue::parse(seed);
+    auto& members = doc.as_object();
+    std::string line;
+    switch (splitmix64(state) % 3) {
+      case 0: {  // retype an existing member
+        auto it = members.begin();
+        std::advance(it, splitmix64(state) % members.size());
+        it->second = random_value(state);
+        line = doc.dump();
+        break;
+      }
+      case 1:  // add or replace a known member
+        members[kKeys[splitmix64(state) % 12]] = random_value(state);
+        line = doc.dump();
+        break;
+      default:  // set one byte
+        line = seed;
+        line[splitmix64(state) % line.size()] =
+            static_cast<char>(splitmix64(state) % 256);
+        break;
+    }
+    try {
+      (void)parse_client_message(line);
+      ++parsed;
+    } catch (const DaemonError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "trial " << trial << ": " << line
+                    << " threw a non-DaemonError: " << e.what();
+    }
+  }
+  // The mutations leave some lines valid, so the accepting path runs too.
+  EXPECT_GT(parsed, 0);
 }
 
 }  // namespace

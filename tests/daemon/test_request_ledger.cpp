@@ -163,6 +163,41 @@ TEST_F(RequestLedgerTest, RejectsForeignOrMismatchedHeader) {
   EXPECT_THROW(future.load(), DaemonError);
 }
 
+TEST_F(RequestLedgerTest, RejectsOutOfRangeIntegersAndBadHash) {
+  // Each line still parses, but a field holds a value no record can
+  // have: an out-of-range number used to reach an undefined cast, a
+  // non-hex hash escaped as std::invalid_argument.
+  const char* kBad[] = {
+      R"({"id":"a","status":"ok","attempts":1e30})",
+      R"({"id":"a","status":"ok","attempts":-1})",
+      R"({"id":"a","status":"ok","exit":1e30})",
+      R"({"id":"a","status":"ok","signal":-5})",
+      R"({"id":"a","status":"ok","exit":2.5})",
+      R"({"id":"a","status":"ok","hash":"xyz"})",
+      R"({"id":"a","status":"ok","hash":""})",
+      R"({"id":"a","status":"ok","hash":"-1"})",
+      R"({"id":"a","status":"ok","hash":"1ffffffffffffffff"})",
+  };
+  for (const char* line : kBad) {
+    std::ofstream(path_, std::ios::trunc)
+        << "{\"daemon\":\"sstsimd\",\"version\":1}\n" << line << "\n";
+    RequestLedger ledger(path_);
+    try {
+      ledger.load();
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const DaemonError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("ledger '" + path_ + "' field \""),
+                std::string::npos)
+          << msg;
+    }
+  }
+  std::ofstream(path_, std::ios::trunc)
+      << "{\"daemon\":\"sstsimd\",\"version\":1e30}\n";
+  RequestLedger header(path_);
+  EXPECT_THROW(header.load(), DaemonError);
+}
+
 TEST_F(RequestLedgerTest, GroupCommitStagesUntilFlush) {
   RequestLedger ledger(path_);
   EXPECT_FALSE(ledger.dirty());

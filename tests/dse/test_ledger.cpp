@@ -130,6 +130,43 @@ TEST_F(LedgerTest, RejectsMissingHeader) {
   EXPECT_THROW(ledger.load("demo", 4), SweepError);
 }
 
+TEST_F(LedgerTest, RejectsOutOfRangeIntegers) {
+  // Each line still parses, but a field holds a number no record can
+  // have; the cast it used to reach is undefined (float-cast-overflow).
+  const char* kBad[] = {
+      R"({"point":-1,"status":"ok"})",
+      R"({"point":1.5,"status":"ok"})",
+      R"({"point":0,"status":"ok","attempts":1e30})",
+      R"({"point":0,"status":"ok","exit":-1})",
+      R"({"point":0,"status":"ok","exit":256})",
+      R"({"point":0,"status":"ok","signal":1e30})",
+      R"({"point":0,"status":"ok","attempts":"x"})",
+      R"({"status":"ok"})",
+  };
+  for (const char* line : kBad) {
+    {
+      std::ofstream out(path_, std::ios::trunc);
+      out << "{\"sweep\":\"demo\",\"points\":4}\n" << line << "\n";
+    }
+    Ledger ledger(path_);
+    try {
+      (void)ledger.load("demo", 4);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const SweepError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("ledger '" + path_ + "' field \""),
+                std::string::npos)
+          << msg;
+    }
+  }
+  {
+    std::ofstream out(path_, std::ios::trunc);
+    out << "{\"sweep\":\"demo\",\"points\":-4}\n";
+  }
+  Ledger header(path_);
+  EXPECT_THROW((void)header.load("demo", 4), SweepError);
+}
+
 TEST_F(LedgerTest, PublishLeavesNoTempFile) {
   Ledger ledger(path_);
   ledger.append(make_record(0, "ok"), "demo", 1);

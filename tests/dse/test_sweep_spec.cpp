@@ -4,6 +4,7 @@
 
 #include "dse/point_gen.h"
 #include "dse/sweep_spec.h"
+#include "mem/mem_lib.h"
 
 namespace sst::dse {
 namespace {
@@ -121,6 +122,53 @@ TEST(SweepSpecErrors, BadAxisPath) {
     EXPECT_NE(std::string(e.what()).find("must start with '/'"),
               std::string::npos);
   }
+}
+
+TEST(SweepSpecErrors, UndeclaredParamAxisFailsAtLoad) {
+  // validate_axes runs before any point: an axis over a key the
+  // component's type does not declare fails there, naming it.
+  mem::register_library();
+  const sdl::JsonValue model = sdl::JsonValue::parse(R"({
+    "components": [{"name": "l1", "type": "mem.Cache",
+                    "params": {"size": "32KiB"}}]})");
+  const SweepSpec ok = SweepSpec::from_json_text(R"({
+    "model": "m.json",
+    "axes": [{"path": "/components/l1/params/size", "values": ["64KiB"]}]
+  })", "");
+  EXPECT_NO_THROW(validate_axes(ok, model));
+  const SweepSpec bad = SweepSpec::from_json_text(R"({
+    "model": "m.json",
+    "axes": [{"path": "/components/l1/params/sizee", "values": ["64KiB"]}]
+  })", "");
+  try {
+    validate_axes(bad, model);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "component 'l1' (mem.Cache): unknown param 'sizee' "
+                  "(known: size, line_size,"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SweepSpecErrors, LoadCheckUsesThePolicyRankCount) {
+  // A component pinned to rank 1 is valid only at the policy's 2 ranks,
+  // which every point runs at.
+  mem::register_library();
+  const sdl::JsonValue model = sdl::JsonValue::parse(R"({
+    "components": [{"name": "l1", "type": "mem.Cache", "rank": 1,
+                    "params": {"size": "32KiB"}}]})");
+  const SweepSpec two = SweepSpec::from_json_text(R"({
+    "model": "m.json", "run": {"ranks": 2},
+    "axes": [{"path": "/components/l1/params/size", "values": ["64KiB"]}]
+  })", "");
+  EXPECT_NO_THROW(validate_axes(two, model));
+  const SweepSpec model_ranks = SweepSpec::from_json_text(R"({
+    "model": "m.json",
+    "axes": [{"path": "/components/l1/params/size", "values": ["64KiB"]}]
+  })", "");
+  EXPECT_THROW(validate_axes(model_ranks, model), ConfigError);
 }
 
 TEST(SweepSpecErrors, DuplicateAxisPath) {

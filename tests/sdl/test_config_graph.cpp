@@ -4,9 +4,11 @@
 #include <map>
 
 #include "mem/mem_lib.h"
+#include "net/net_lib.h"
 #include "proc/proc_lib.h"
 #include "sdl/config_graph.h"
 #include "sdl/settings.h"
+#include "vm/vm_lib.h"
 
 namespace sst::sdl {
 namespace {
@@ -452,6 +454,106 @@ TEST(ConfigGraph, UnknownSettingKeyListsTheSectionsKeys) {
     }
     EXPECT_NE(overridden.find(head + known), std::string::npos)
         << overridden;
+  }
+}
+
+// Every component param, vm.tlb and vm.walker key is checked against the
+// type's registered list, whichever way it entered the graph.
+
+/// validate()'s one problem, or "" when there are none or several.
+std::string only_problem(const ConfigGraph& g) {
+  const auto problems = g.validate(Factory::instance());
+  return problems.size() == 1 ? problems[0] : "";
+}
+
+constexpr const char* kCacheKeys =
+    "(known: size, line_size, assoc, hit_latency, mshrs, prefetch, "
+    "prefetch_degree)";
+
+TEST(ConfigGraph, UndeclaredComponentParamRejected) {
+  mem::register_library();
+  const ConfigGraph g = ConfigGraph::from_json_text(R"({
+    "components": [{"name": "l1", "type": "mem.Cache",
+                    "params": {"size": "32KiB", "sizee": "64KiB"}}]})");
+  EXPECT_EQ(only_problem(g),
+            std::string("component 'l1' (mem.Cache): unknown param 'sizee' ") +
+                kCacheKeys);
+  EXPECT_THROW((void)g.build(), ConfigError);
+}
+
+TEST(ConfigGraph, UndeclaredOverrideParamRejected) {
+  mem::register_library();
+  ConfigGraph g;
+  g.add_component("l1", "mem.Cache", Params{{"size", "32KiB"}});
+  ASSERT_TRUE(g.validate(Factory::instance()).empty());
+  g.apply_override("/components/l1/params/sizee", "64KiB");
+  EXPECT_EQ(only_problem(g),
+            std::string("component 'l1' (mem.Cache): unknown param 'sizee' ") +
+                kCacheKeys);
+}
+
+constexpr const char* kVmModel = R"({
+  "vm": {"tlb": {"l1_sets": 8}, "walker": {"walk_depth": 3}},
+  "components": [
+    {"name": "tlb0", "type": "vm.Tlb"},
+    {"name": "ptw", "type": "vm.PageTableWalker"}
+  ]
+})";
+
+TEST(ConfigGraph, UndeclaredVmTlbOverrideRejected) {
+  vm::register_library();
+  ConfigGraph g = ConfigGraph::from_json_text(kVmModel);
+  ASSERT_TRUE(g.validate(Factory::instance()).empty());
+  g.apply_override("/vm/tlb/l1_setz", "64");
+  const std::string msg = only_problem(g);
+  EXPECT_EQ(msg.rfind("vm.tlb (vm.Tlb): unknown param 'l1_setz' (known: "
+                      "levels, l1_sets, ",
+                      0),
+            0u)
+      << msg;
+  // The levels beyond 2 are declared keys of their own.
+  EXPECT_NE(msg.find("l4_latency"), std::string::npos) << msg;
+}
+
+TEST(ConfigGraph, UndeclaredVmWalkerKeyRejected) {
+  vm::register_library();
+  JsonValue doc = JsonValue::parse(kVmModel);
+  doc.as_object()["vm"].as_object()["walker"].as_object()["walk_dept"] =
+      JsonValue("5");
+  const ConfigGraph g = ConfigGraph::from_json(doc);
+  const std::string msg = only_problem(g);
+  EXPECT_EQ(msg.rfind("vm.walker (vm.PageTableWalker): unknown param "
+                      "'walk_dept' (known: num_tlbs, walk_depth, ",
+                      0),
+            0u)
+      << msg;
+  EXPECT_THROW((void)g.build(), ConfigError);
+}
+
+TEST(ConfigGraph, EveryDeclaredKeyIsAccepted) {
+  mem::register_library();
+  proc::register_library();
+  net::register_library();
+  vm::register_library();
+  ConfigGraph g;
+  Params tlb_defaults;
+  Params walker_defaults;
+  for (const auto& type : Factory::instance().registered_types()) {
+    Params p;
+    for (const auto& d : Factory::instance().param_docs(type)) {
+      p.set(d.name, d.default_value);
+      if (type == "vm.Tlb") tlb_defaults.set(d.name, d.default_value);
+      if (type == "vm.PageTableWalker") {
+        walker_defaults.set(d.name, d.default_value);
+      }
+    }
+    g.add_component("c" + std::to_string(g.components().size()), type, p);
+  }
+  g.vm().present = true;
+  g.vm().tlb_defaults = tlb_defaults;
+  g.vm().walker_defaults = walker_defaults;
+  for (const auto& problem : g.validate(Factory::instance())) {
+    EXPECT_EQ(problem.find("unknown param"), std::string::npos) << problem;
   }
 }
 

@@ -21,6 +21,8 @@
 #      sstsim's "done:" line.
 #   7. `--drain` finishes accepted work and stops the daemon; the
 #      socket is released.
+#   8. A request line with a field of the wrong type ({"op": 5}) gets an
+#      error reply, and the daemon goes on answering `status`.
 #
 #   test_daemon.sh <sstsimd> <sstsim> <sstdse> <models_dir>
 set -u
@@ -148,6 +150,24 @@ for wd in "--watchdog 0" "--override /config/watchdog_seconds=0"; do
     grep -q '"/config/watchdog_seconds":"0"' "$WORK/via_wd0/request.json"
   rm -rf "$WORK/via_wd0"
 done
+
+# ---- 8: a mistyped field fails the request, not the daemon -----------
+reply="$(python3 - "$SOCK" <<'PY'
+import socket, sys
+s = socket.socket(socket.AF_UNIX)
+s.connect(sys.argv[1])
+s.sendall(b'{"op": 5}\n')
+print(s.makefile().readline().strip())
+PY
+)"
+case "$reply" in
+  *'"type":"error"'*) ;;
+  *) echo "daemon: FAIL: mistyped op got no error reply ($reply)" >&2
+     fail=1 ;;
+esac
+workers="$(status_field "$SOCK" workers)"
+check "daemon answers status after a mistyped op (workers=$workers)" \
+  [ "${workers:-0}" -eq 2 ]
 
 # ---- 2: finished ids replay from the ledger --------------------------
 run "replay" "$SSTSIM" "$MODELS/pingpong.json" --daemon "$SOCK" \

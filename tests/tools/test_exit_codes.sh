@@ -258,7 +258,7 @@ names "daemon + --stats-format" "--stats-format"
 # Every other object of a description checks its member names too: a
 # misspelled section, link, vm or fault key exits 2 naming the key and
 # the known ones, instead of running without it.
-SYSTEMS="$MODELS/../../../examples/systems"
+SYSTEMS="$(cd "$MODELS/../../../examples/systems" && pwd)"
 sed 's/"drop": 1.0}/"dorp": 1.0}/' "$MODELS/deadlock.json" \
     > "$WORK/dorp.json"
 expect 2 "sdl link fault dorp" "$SSTSIM" "$WORK/dorp.json"
@@ -274,6 +274,36 @@ sed 's/"enable": true/"enabel": false/' "$SYSTEMS/node_vm.json" \
     > "$WORK/enabel.json"
 expect 2 "sdl vm enabel" "$SSTSIM" "$WORK/enabel.json"
 names "sdl vm enabel" "unknown vm key 'enabel' (known: enable,"
+
+# Component params and the vm tlb/walker defaults take only the keys
+# their type registers (sstsim --list-components): an undeclared one
+# exits 2 naming the key, the component and its type, and the declared
+# keys, from the SDL, an override and a sweep axis alike.
+L1_KEYS="(known: size, line_size, assoc, hit_latency, mshrs, prefetch, prefetch_degree)"
+sed 's/"size": "32KiB",/"size": "32KiB", "sizee": "64KiB",/' \
+    "$SYSTEMS/node_ddr3.json" > "$WORK/sizee.json"
+expect 2 "sdl param sizee" "$SSTSIM" "$WORK/sizee.json"
+names "sdl param sizee" "component 'l1' (mem.Cache): unknown param 'sizee' $L1_KEYS"
+expect 2 "override param sizee" "$SSTSIM" "$SYSTEMS/node_ddr3.json" \
+                           --override /components/l1/params/sizee=64KiB
+names "override param sizee" "component 'l1' (mem.Cache): unknown param 'sizee' $L1_KEYS"
+expect 2 "override vm tlb l1_setz" "$SSTSIM" "$SYSTEMS/node_vm.json" \
+                           --override /vm/tlb/l1_setz=64
+names "override vm tlb l1_setz" "vm.tlb (vm.Tlb): unknown param 'l1_setz' (known: levels, l1_sets,"
+sed 's/"walk_depth": 4/"walk_dept": 4/' "$SYSTEMS/node_vm.json" \
+    > "$WORK/walk_dept.json"
+expect 2 "sdl vm walker walk_dept" "$SSTSIM" "$WORK/walk_dept.json"
+names "sdl vm walker walk_dept" "vm.walker (vm.PageTableWalker): unknown param 'walk_dept' (known: num_tlbs, walk_depth,"
+printf '%s\n' "{\"name\": \"sizee\", \"model\": \"$SYSTEMS/node_ddr3.json\"," \
+  ' "axes": [{"path": "/components/l1/params/sizee", "values": ["64KiB"]}]}' \
+  > "$WORK/sizee_sweep.json"
+expect 2 "sweep axis sizee" "$SSTDSE" run "$WORK/sizee_sweep.json" \
+                           --out "$WORK/sizee.sweep" -q
+names "sweep axis sizee" "component 'l1' (mem.Cache): unknown param 'sizee' $L1_KEYS"
+if [ -e "$WORK/sizee.sweep/points" ] || [ -e "$WORK/sizee.sweep/ledger.jsonl" ]; then
+  echo "exit_codes: sweep axis sizee: a point ran before the axis was checked" >&2
+  fail=1
+fi
 
 # Restart refusals (5).  --profile-engine and --trace-engine output is
 # per rank, so a resume with either, set by the snapshot's description
