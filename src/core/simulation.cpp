@@ -1,7 +1,8 @@
 #include "core/simulation.h"
 
+#include <sched.h>
+
 #include <algorithm>
-#include <barrier>
 #include <chrono>
 #include <condition_variable>
 #include <fstream>
@@ -10,6 +11,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/window_barrier.h"
 #include "obs/json_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -31,6 +33,14 @@ SimTime sat_add(SimTime a, SimTime b) {
 // Safety valve for init phases (a component that stages data every phase
 // forever is a bug, not a workload).
 constexpr unsigned kMaxInitPhases = 64;
+
+// CPUs this process may run on (its affinity mask; 1 if unreadable).
+unsigned usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return static_cast<unsigned>(std::max(CPU_COUNT(&set), 1));
+}
 }  // namespace
 
 Simulation::Simulation(SimConfig config) : config_(config) {
@@ -827,40 +837,53 @@ void Simulation::run_windows() {
     horizon_ = next_horizon(first);
   }
 
-  auto completion = [this]() noexcept { complete_window(); };
-  std::barrier after_send(static_cast<std::ptrdiff_t>(R));
-  std::barrier<decltype(completion)> after_drain(
-      static_cast<std::ptrdiff_t>(R), completion);
-
+  // Waiters spin before they block only while every rank has a CPU to
+  // itself; past that a spinner takes the CPU a late rank needs.  A
+  // property of the host and the rank count, so not a setting.
+  const bool spin = R <= usable_cpus();
+  WindowBarrier after_send(R, spin);
+  WindowBarrier after_drain(R, spin);
   const bool time_barriers = config_.profile_engine;
-  auto worker = [this, &after_send, &after_drain, time_barriers](RankId me) {
-    auto wait = [this, me, time_barriers](auto& barrier) {
+  // Stamped by the last arriver under profile_engine, read by every rank
+  // once the barrier releases it.
+  std::chrono::steady_clock::time_point last_arrival;
+  auto worker = [&, time_barriers](RankId me) {
+    auto wait = [&](WindowBarrier& barrier, auto&& done) {
       if (!time_barriers) {
-        barrier.arrive_and_wait();
+        barrier.arrive_and_wait(done);
         return;
       }
       const auto t0 = std::chrono::steady_clock::now();
       // Checkpoints are written inside the barrier completion while every
       // rank is parked, and the watchdog is credited that wall time via
       // ckpt_pause_ns_.  Credit the barrier-wait profile the same way, so
-      // barrier_wait_seconds measures synchronization, not snapshot I/O.
+      // both counters below measure synchronization, not snapshot I/O.
       const std::uint64_t ckpt0 =
           ckpt_pause_ns_.load(std::memory_order_relaxed);
-      barrier.arrive_and_wait();
-      double waited =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      waited -= 1e-9 * static_cast<double>(
-                           ckpt_pause_ns_.load(std::memory_order_relaxed) -
-                           ckpt0);
-      if (waited > 0) ranks_[me].barrier_wait_seconds += waited;
+      barrier.arrive_and_wait([&] {
+        last_arrival = std::chrono::steady_clock::now();
+        done();
+      });
+      const auto t1 = std::chrono::steady_clock::now();
+      const double ckpt =
+          1e-9 * static_cast<double>(
+                     ckpt_pause_ns_.load(std::memory_order_relaxed) - ckpt0);
+      auto seconds = [&](auto since) {
+        return std::max(
+            std::chrono::duration<double>(t1 - since).count() - ckpt, 0.0);
+      };
+      // The wait splits at the last arrival: before it, this rank waited
+      // for slower ranks (imbalance); after it, for the release.
+      RankState& rank = ranks_[me];
+      rank.barrier_wait_seconds += seconds(t0);
+      rank.barrier_release_seconds += seconds(last_arrival);
     };
     while (!window_done_) {
       rank_process_until(me);
       flush_outbox(me);
-      wait(after_send);
+      wait(after_send, [] {});
       drain_mailbox(ranks_[me]);
-      wait(after_drain);
+      wait(after_drain, [this] { complete_window(); });
     }
   };
 
@@ -994,7 +1017,8 @@ void Simulation::record_window(SimTime global_min) {
           ",\"vortex_depth\":" + std::to_string(rs.vortex.size()) +
           ",\"mailbox_received\":" + std::to_string(rs.mailbox_received) +
           ",\"barrier_wait_s\":" + obs::json_number(rs.barrier_wait_seconds) +
-          "}";
+          ",\"release_s\":" +
+          obs::json_number(rs.barrier_release_seconds) + "}";
       metrics_->record_engine(static_cast<RankId>(r), global_min,
                               std::move(payload));
     }
@@ -1254,6 +1278,8 @@ void Simulation::setup_observability() {
       es.vortex_depth = stats_.create<Accumulator>(comp, "vortex_depth");
       es.barrier_wait =
           stats_.create<Accumulator>(comp, "barrier_wait_seconds");
+      es.barrier_release =
+          stats_.create<Accumulator>(comp, "barrier_release_seconds");
       es.events_per_sec = stats_.create<Accumulator>(comp, "events_per_sec");
     }
     if (config_.checkpoint_period > 0 || config_.checkpoint_wall > 0) {
@@ -1319,6 +1345,7 @@ void Simulation::finalize_engine_stats(double wall_seconds) {
     es.pool_recycles->add(recycles[r]);
     es.exchange_flushes->add(ranks_[r].outbox_flushes);
     es.barrier_wait->add(ranks_[r].barrier_wait_seconds);
+    es.barrier_release->add(ranks_[r].barrier_release_seconds);
     if (wall_seconds > 0) {
       es.events_per_sec->add(static_cast<double>(ranks_[r].events) /
                              wall_seconds);

@@ -338,6 +338,8 @@ class Simulation {
     // per drain; barrier wait is measured under profile_engine only).
     std::uint64_t mailbox_received = 0;
     double barrier_wait_seconds = 0.0;
+    // The part of barrier_wait_seconds after the last rank arrived.
+    double barrier_release_seconds = 0.0;
   };
 
   // Component construction context.
@@ -526,6 +528,7 @@ class Simulation {
     Counter* exchange_flushes = nullptr;
     Accumulator* vortex_depth = nullptr;
     Accumulator* barrier_wait = nullptr;
+    Accumulator* barrier_release = nullptr;
     Accumulator* events_per_sec = nullptr;
   };
   std::vector<EngineStats> engine_stats_;

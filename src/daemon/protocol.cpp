@@ -178,13 +178,25 @@ WorkerReply parse_worker_reply(const std::string& line) {
     throw DaemonError(std::string("malformed worker reply: ") + e.what());
   }
   WorkerReply reply;
-  reply.id = doc.get_string("id", "");
-  reply.status = doc.get_string("status", "failed");
-  reply.exit_code = static_cast<int>(doc.get_number("exit", 1));
-  reply.error = doc.get_string("error", "");
-  reply.events = static_cast<std::uint64_t>(doc.get_number("events", 0));
-  reply.wall_seconds = doc.get_number("wall", 0.0);
-  reply.cache_hit = doc.get_bool("cache_hit", false);
+  // The counts are cast to integers, so each is range-checked first, as a
+  // ledger field is.  A bad field fails the reply, never the daemon.
+  auto count = [&doc](const char* key, std::uint64_t fallback,
+                      std::uint64_t hi) {
+    if (!doc.has(key)) return fallback;
+    return sdl::setting_count(
+        doc.at(key), std::string("worker reply \"") + key + "\"", 0, hi);
+  };
+  try {
+    reply.id = doc.get_string("id", "");
+    reply.status = doc.get_string("status", "failed");
+    reply.exit_code = static_cast<int>(count("exit", 1, 255));
+    reply.error = doc.get_string("error", "");
+    reply.events = count("events", 0, UINT64_MAX);
+    reply.wall_seconds = doc.get_number("wall", 0.0);
+    reply.cache_hit = doc.get_bool("cache_hit", false);
+  } catch (const ConfigError& e) {
+    throw DaemonError(std::string("bad worker reply: ") + e.what());
+  }
   return reply;
 }
 

@@ -28,7 +28,7 @@ void RequestLedger::load() {
   const std::vector<sdl::JsonValue> docs = file_.load();
   if (docs.empty()) return;
   const sdl::JsonValue& header = docs.front();
-  if (!header.has("daemon") || header.at("daemon").as_string() != "sstsimd") {
+  if (file_.text(header, "daemon", "") != "sstsimd") {
     throw DaemonError("'" + path() + "' is not an sstsimd request ledger");
   }
   const std::uint64_t version = file_.count(header, "version", UINT32_MAX, 0);
@@ -40,14 +40,14 @@ void RequestLedger::load() {
   for (std::size_t i = 1; i < docs.size(); ++i) {
     const sdl::JsonValue& doc = docs[i];
     RequestRecord r;
-    r.id = doc.at("id").as_string();
-    r.status = doc.at("status").as_string();
+    r.id = file_.text(doc, "id");
+    r.status = file_.text(doc, "status");
     r.exit_code = static_cast<int>(file_.count(doc, "exit", 255, 0));
     r.term_signal = static_cast<int>(file_.count(doc, "signal", 64, 0));
     r.attempts = static_cast<unsigned>(file_.count(doc, "attempts",
                                                    UINT32_MAX, 0));
-    r.out_dir = doc.get_string("out", "");
-    const std::string hash = doc.get_string("hash", "0");
+    r.out_dir = file_.text(doc, "out", "");
+    const std::string hash = file_.text(doc, "hash", "0");
     const char* end = hash.data() + hash.size();
     const auto [ptr, ec] =
         std::from_chars(hash.data(), end, r.content_hash, 16);
@@ -56,7 +56,7 @@ void RequestLedger::load() {
                         "' field \"hash\" must be a hex number, got '" +
                         hash + "'");
     }
-    r.error = doc.get_string("error", "");
+    r.error = file_.text(doc, "error", "");
     records_[r.id] = std::move(r);
   }
 }

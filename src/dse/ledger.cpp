@@ -33,10 +33,10 @@ bool Ledger::load(const std::string& sweep_name, std::uint64_t point_count) {
   if (!header.has("sweep") || !header.has("points")) {
     throw SweepError("ledger '" + path() + "' has no header line");
   }
-  if (header.at("sweep").as_string() != sweep_name) {
-    throw SweepError("ledger '" + path() + "' belongs to sweep '" +
-                     header.at("sweep").as_string() + "', not '" +
-                     sweep_name + "'");
+  const std::string sweep = file_.text(header, "sweep");
+  if (sweep != sweep_name) {
+    throw SweepError("ledger '" + path() + "' belongs to sweep '" + sweep +
+                     "', not '" + sweep_name + "'");
   }
   const std::uint64_t recorded = file_.count(header, "points", UINT64_MAX);
   if (recorded != point_count) {
@@ -50,16 +50,12 @@ bool Ledger::load(const std::string& sweep_name, std::uint64_t point_count) {
     const sdl::JsonValue& doc = docs[i];
     LedgerRecord r;
     r.point = file_.count(doc, "point", UINT64_MAX);
-    r.status = doc.at("status").as_string();
+    r.status = file_.text(doc, "status");
     r.exit_code = static_cast<int>(file_.count(doc, "exit", 255, 0));
     r.term_signal = static_cast<int>(file_.count(doc, "signal", 64, 0));
     r.attempts = static_cast<unsigned>(file_.count(doc, "attempts",
                                                    UINT32_MAX, 1));
-    if (doc.has("values")) {
-      for (const auto& v : doc.at("values").as_array()) {
-        r.values.push_back(v.as_string());
-      }
-    }
+    r.values = file_.texts(doc, "values");
     records_[r.point] = std::move(r);
   }
   return true;

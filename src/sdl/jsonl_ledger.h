@@ -7,6 +7,7 @@
 // record type, header check, error type and commit style.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -77,21 +78,52 @@ class JsonlLedger {
   [[nodiscard]] std::uint64_t count(
       const JsonValue& line, const char* key, std::uint64_t hi,
       std::optional<std::uint64_t> fallback = std::nullopt) const {
-    const std::string what = "ledger '" + path_ + "' field \"" + key + "\"";
     if (!line.has(key)) {
       if (fallback) return *fallback;
-      throw Error(what + " is missing");
+      throw Error(field(key) + " is missing");
     }
     try {
-      return setting_count(line.at(key), what, 0, hi);
+      return setting_count(line.at(key), field(key), 0, hi);
     } catch (const ConfigError& e) {
       throw Error(e.what());
     }
   }
 
+  /// Member `key` of a loaded line as a string, as count() reads a
+  /// number: absent is `fallback` or an error, any other value an error.
+  [[nodiscard]] std::string text(
+      const JsonValue& line, const char* key,
+      std::optional<std::string> fallback = std::nullopt) const {
+    if (!line.has(key)) {
+      if (fallback) return *fallback;
+      throw Error(field(key) + " is missing");
+    }
+    if (!line.at(key).is_string()) throw Error(field(key) + " is not a string");
+    return line.at(key).as_string();
+  }
+
+  /// Member `key` of a loaded line as a list of strings (empty when
+  /// absent); any other value throws Error naming the file and member.
+  [[nodiscard]] std::vector<std::string> texts(const JsonValue& line,
+                                               const char* key) const {
+    std::vector<std::string> out;
+    if (!line.has(key)) return out;
+    const JsonValue& list = line.at(key);
+    if (!list.is_array() ||
+        !std::ranges::all_of(list.as_array(), &JsonValue::is_string)) {
+      throw Error(field(key) + " is not a list of strings");
+    }
+    for (const JsonValue& v : list.as_array()) out.push_back(v.as_string());
+    return out;
+  }
+
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
+  [[nodiscard]] std::string field(const char* key) const {
+    return "ledger '" + path_ + "' field \"" + key + "\"";
+  }
+
   std::string path_;
   std::string tag_;
   bool header_written_ = false;

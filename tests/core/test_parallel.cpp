@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -363,14 +364,28 @@ TEST(SyncMode, WindowCountDeterministicRunToRun) {
   EXPECT_EQ(a.received, b.received);
 }
 
-TEST(SyncMode, BarrierWaitExcludesCheckpointIo) {
-  // Regression: checkpoint writes happen while the other ranks are parked
-  // at the window barrier.  The watchdog already credits that pause
-  // (ckpt_pause_ns_); the --profile-engine barrier-wait accounting must
-  // subtract the same credit, or every snapshot's I/O time shows up as
-  // phantom synchronization cost.  1us links keep the run to about 20
-  // windows, so the genuine barrier wait stays small next to the
-  // injected writes even on a loaded host.
+/// Sum of engine.rankN `name` over the ranks of a --profile-engine run.
+double engine_sum(const Simulation& sim, unsigned ranks, const char* name) {
+  double total = 0.0;
+  for (unsigned r = 0; r < ranks; ++r) {
+    const auto* stat = dynamic_cast<const Accumulator*>(
+        sim.stats().find("engine.rank" + std::to_string(r), name));
+    EXPECT_NE(stat, nullptr) << name;
+    if (stat != nullptr) total += stat->sum();
+  }
+  return total;
+}
+
+struct CheckpointedWait {
+  unsigned snapshots = 0;
+  std::uint64_t windows = 0;
+  double wait_s = 0.0;     // engine.rankN barrier_wait_seconds, summed
+  double release_s = 0.0;  // engine.rankN barrier_release_seconds, summed
+};
+
+/// The 2-rank ring with 1us links (about 20 windows) checkpointing every
+/// 5us through a writer that sleeps `write` per snapshot.
+CheckpointedWait checkpointed_ring(std::chrono::milliseconds write) {
   SimConfig cfg{.num_ranks = 2,
                 .end_time = 20 * kMicrosecond,
                 .seed = 7,
@@ -389,30 +404,97 @@ TEST(SyncMode, BarrierWaitExcludesCheckpointIo) {
     sim.connect("n" + std::to_string(i), "port0",
                 "n" + std::to_string((i + 1) % 8), "port1", kMicrosecond);
   }
-  std::atomic<unsigned> snapshots{0};
-  constexpr auto kSleep = std::chrono::milliseconds(70);
+  CheckpointedWait out;
   sim.set_checkpoint_writer([&](Simulation&) {
-    ++snapshots;
-    std::this_thread::sleep_for(kSleep);
+    ++out.snapshots;
+    std::this_thread::sleep_for(write);
   });
-  const RunStats stats = sim.run();
-  ASSERT_GE(snapshots.load(), 3u);
-  EXPECT_LE(stats.sync_windows, 25u);
+  out.windows = sim.run().sync_windows;
+  out.wait_s = engine_sum(sim, 2, "barrier_wait_seconds");
+  out.release_s = engine_sum(sim, 2, "barrier_release_seconds");
+  return out;
+}
 
-  double barrier_wait_total = 0.0;
-  for (unsigned r = 0; r < 2; ++r) {
-    const auto* stat = dynamic_cast<const Accumulator*>(sim.stats().find(
-        "engine.rank" + std::to_string(r), "barrier_wait_seconds"));
-    ASSERT_NE(stat, nullptr);
-    barrier_wait_total += stat->sum();
-  }
+TEST(SyncMode, BarrierWaitExcludesCheckpointIo) {
+  // Regression: checkpoint writes happen while the other ranks are parked
+  // at the window barrier.  The watchdog already credits that pause
+  // (ckpt_pause_ns_); the --profile-engine barrier-wait accounting must
+  // subtract the same credit, or every snapshot's I/O time shows up as
+  // phantom synchronization cost.  The same run with a writer that
+  // returns at once books the genuine wait, which grows with host load;
+  // only the difference is the snapshots' share.
+  constexpr auto kSleep = std::chrono::milliseconds(70);
+  const CheckpointedWait quiet = checkpointed_ring({});
+  const CheckpointedWait slept = checkpointed_ring(kSleep);
+  ASSERT_GE(slept.snapshots, 3u);
+  ASSERT_EQ(slept.snapshots, quiet.snapshots);
+  ASSERT_EQ(slept.windows, quiet.windows);
+  EXPECT_LE(slept.windows, 25u);
   // Without the credit the parked rank books every write in full; with
-  // it the total stays below half of the injected write time.
+  // it the difference stays below half of the injected write time.
   const double written_s =
-      snapshots.load() * std::chrono::duration<double>(kSleep).count();
-  EXPECT_LT(barrier_wait_total, 0.5 * written_s)
-      << "snapshot I/O leaked into barrier_wait_seconds ("
-      << snapshots.load() << " snapshots, " << written_s << "s written)";
+      slept.snapshots * std::chrono::duration<double>(kSleep).count();
+  EXPECT_LT(slept.wait_s - quiet.wait_s, 0.5 * written_s)
+      << "snapshot I/O leaked into barrier_wait_seconds (" << slept.snapshots
+      << " snapshots, " << written_s << "s written)";
+  // The write runs after the last arrival, so it would land in the
+  // release part of the wait.
+  EXPECT_LT(slept.release_s - quiet.release_s, 0.5 * written_s)
+      << "snapshot I/O leaked into barrier_release_seconds";
+}
+
+TEST(SyncMode, BarrierWaitSplitsAtLastArrival) {
+  // A busy ring pinned to rank 0 and an idle node on rank 1: rank 1 has
+  // no events, so it waits for rank 0 at every window (imbalance), while
+  // rank 0 arrives last and waits only for the release.  No cut link, so
+  // every window spans the 10us cap and holds thousands of events.
+  SimConfig cfg{.num_ranks = 2, .end_time = 200 * kMicrosecond, .seed = 3};
+  cfg.profile_engine = true;
+  cfg.metrics_period = 50 * kMicrosecond;
+  cfg.metrics = true;
+  Simulation sim(cfg);
+  Params p;
+  p.set("fanout", "2");
+  p.set("initial_events", "20");
+  p.set("min_delay", "10ns");
+  for (unsigned i = 0; i < 16; ++i) {
+    const std::string name = "n" + std::to_string(i);
+    sim.add_component<PholdNode>(name, p);
+    sim.set_component_rank(name, 0);
+  }
+  for (unsigned i = 0; i < 16; ++i) {
+    sim.connect("n" + std::to_string(i), "port0",
+                "n" + std::to_string((i + 1) % 16), "port1",
+                100 * kNanosecond);
+  }
+  Params idle;
+  sim.add_component<PholdNode>("idle", idle);
+  sim.set_component_rank("idle", 1);
+  const RunStats stats = sim.run();
+  EXPECT_GE(stats.sync_windows, 20u);
+
+  double imbalance[2];
+  for (unsigned r = 0; r < 2; ++r) {
+    const std::string comp = "engine.rank" + std::to_string(r);
+    const auto* wait = dynamic_cast<const Accumulator*>(
+        sim.stats().find(comp, "barrier_wait_seconds"));
+    const auto* release = dynamic_cast<const Accumulator*>(
+        sim.stats().find(comp, "barrier_release_seconds"));
+    ASSERT_NE(wait, nullptr);
+    ASSERT_NE(release, nullptr);
+    EXPECT_LE(release->sum(), wait->sum()) << comp;
+    EXPECT_GE(release->sum(), 0.0) << comp;
+    imbalance[r] = wait->sum() - release->sum();
+  }
+  EXPECT_GT(imbalance[1], imbalance[0])
+      << "rank 1 (no events) should wait for rank 0, not the reverse";
+
+  // The per-rank metrics lines carry the release next to the wait.
+  std::ostringstream jsonl;
+  sim.write_metrics_jsonl(jsonl);
+  const std::string text = jsonl.str();
+  EXPECT_NE(text.find("\"barrier_wait_s\":"), std::string::npos);
+  EXPECT_NE(text.find("\"release_s\":"), std::string::npos);
 }
 
 }  // namespace

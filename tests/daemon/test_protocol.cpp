@@ -126,6 +126,35 @@ TEST(Daemon, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)parse_worker_reply("{\"id\":"), DaemonError);
 }
 
+TEST(Daemon, WorkerReplyRejectsBadCounts) {
+  // A reply's exit and events are cast to integers, so a value out of
+  // range (or NaN, which JSON can only carry as a string) used to reach
+  // an undefined cast.  Each is an error naming the field.
+  for (const char* field : {"exit", "events"}) {
+    for (const char* value : {"1e30", "-1", "\"NaN\""}) {
+      const std::string line = std::string(R"({"id":"r","status":"ok",")") +
+                               field + "\":" + value + "}";
+      try {
+        (void)parse_worker_reply(line);
+        ADD_FAILURE() << "accepted " << line;
+      } catch (const DaemonError& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string("worker reply \"") +
+                                             field + "\""),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // A bare NaN is not JSON at all.
+  EXPECT_THROW((void)parse_worker_reply(R"({"id":"r","exit":NaN})"),
+               DaemonError);
+  // The largest values each field can hold still parse.
+  const WorkerReply top =
+      parse_worker_reply(R"({"id":"r","exit":255,"events":1e19})");
+  EXPECT_EQ(top.exit_code, 255);
+  EXPECT_EQ(top.events, 10000000000000000000ull);
+}
+
 TEST(Daemon, RunOpRejectsBadCountsAndBudgets) {
   const std::string head =
       R"({"op":"run","model":"{}","out":"/tmp/x",)";

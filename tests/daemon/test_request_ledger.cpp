@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "daemon/request_ledger.h"
 
@@ -194,6 +195,37 @@ TEST_F(RequestLedgerTest, RejectsOutOfRangeIntegersAndBadHash) {
   }
   std::ofstream(path_, std::ios::trunc)
       << "{\"daemon\":\"sstsimd\",\"version\":1e30}\n";
+  RequestLedger header(path_);
+  EXPECT_THROW(header.load(), DaemonError);
+}
+
+TEST_F(RequestLedgerTest, RejectsNonStringTextFields) {
+  // A record such as {"id":5,"status":"accepted"} used to stop sstsimd
+  // with a bare "JSON value is not a string"; the error now names the
+  // ledger and the field.
+  const std::pair<const char*, const char*> kBad[] = {
+      {R"({"id":5,"status":"accepted"})", "id"},
+      {R"({"status":"accepted"})", "id"},
+      {R"({"id":"a","status":1})", "status"},
+      {R"({"id":"a","status":"ok","out":[]})", "out"},
+      {R"({"id":"a","status":"ok","hash":7})", "hash"},
+      {R"({"id":"a","status":"ok","error":false})", "error"},
+  };
+  for (const auto& [line, field] : kBad) {
+    std::ofstream(path_, std::ios::trunc)
+        << "{\"daemon\":\"sstsimd\",\"version\":1}\n" << line << "\n";
+    RequestLedger ledger(path_);
+    try {
+      ledger.load();
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const DaemonError& e) {
+      EXPECT_NE(std::string(e.what()).find("ledger '" + path_ + "' field \"" +
+                                           field + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::ofstream(path_, std::ios::trunc) << "{\"daemon\":5,\"version\":1}\n";
   RequestLedger header(path_);
   EXPECT_THROW(header.load(), DaemonError);
 }

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "dse/ledger.h"
 
@@ -165,6 +167,31 @@ TEST_F(LedgerTest, RejectsOutOfRangeIntegers) {
   }
   Ledger header(path_);
   EXPECT_THROW((void)header.load("demo", 4), SweepError);
+}
+
+TEST_F(LedgerTest, RejectsNonStringTextFields) {
+  // A string field holding a number used to fail with a bare "JSON value
+  // is not a string"; the error now names the ledger and the field.
+  const std::string header = R"({"sweep":"demo","points":4})";
+  const std::pair<std::string, const char*> kBad[] = {
+      {R"({"sweep":5,"points":4})", "sweep"},
+      {header + "\n" + R"({"point":0,"status":5})", "status"},
+      {header + "\n" + R"({"point":0,"status":"ok","values":[5]})", "values"},
+      {header + "\n" + R"({"point":0,"status":"ok","values":"x"})", "values"},
+  };
+  for (const auto& [text, field] : kBad) {
+    std::ofstream(path_, std::ios::trunc) << text << "\n";
+    Ledger ledger(path_);
+    try {
+      (void)ledger.load("demo", 4);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const SweepError& e) {
+      EXPECT_NE(std::string(e.what()).find("ledger '" + path_ + "' field \"" +
+                                           field + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(LedgerTest, PublishLeavesNoTempFile) {

@@ -39,6 +39,21 @@ expect 2 "bad time value"  "$SSTSIM" "$MODELS/pingpong.json" --end "1 parsec"
 expect 3 "watchdog abort"  "$SSTSIM" "$MODELS/hog.json" --watchdog 0.3
 expect 4 "deadlock"        "$SSTSIM" "$MODELS/deadlock.json"
 
+# The watchdog still fires while ranks are parked at the window barrier,
+# spinning or blocked (8 ranks outnumber a 4-CPU host's CPUs, so there
+# its waiters block at once), and the run ends within a few seconds of
+# the 0.3 s budget.
+for ranks in 4 8; do
+  start=$(date +%s)
+  expect 3 "watchdog abort at $ranks ranks" "$SSTSIM" "$MODELS/hog.json" \
+         --ranks "$ranks" --watchdog 0.3
+  took=$(( $(date +%s) - start ))
+  if [ "$took" -gt 5 ]; then
+    echo "exit_codes: watchdog abort at $ranks ranks took ${took}s" >&2
+    fail=1
+  fi
+done
+
 # Removed synchronization inputs: the lax/adaptive flags and SDL keys
 # are usage/config errors (2) whose message names the removal; a
 # mistyped config key is an error too, and "sync_mode": "conservative"
