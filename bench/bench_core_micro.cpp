@@ -32,6 +32,14 @@ class TimeVortexTestPeer {
     ev->order_ = seq;
     return ev;
   }
+  /// Stamps `ev` as the `seq`-th event sent by `source`, due at `t`.
+  static EventPtr restamped(EventPtr ev, SimTime t, LinkId source,
+                            std::uint64_t seq) {
+    ev->delivery_time_ = t;
+    ev->link_id_ = source;
+    ev->order_ = seq;
+    return ev;
+  }
 };
 }  // namespace sst
 
@@ -52,6 +60,35 @@ void BM_TimeVortexInsertPop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_TimeVortexInsertPop)->Arg(64)->Arg(4096)->Arg(262144);
+
+// The hold model with PHOLD's traffic: each pop is sent on again from one
+// of 1,024 sources (a 16x16 torus has 1,024 link endpoints) and lands at
+// now + 200 ns + k * 20 ns, k in 1..8, as net.HotspotPhold's tokens do.
+// Delivery times sit on a 20 ns grid, so the top of the heap is full of
+// time ties.  Depth 512 is one rank of phold_r2, 2,048 one of hotspot_r2.
+void BM_TimeVortexHold(benchmark::State& state) {
+  const auto depth = static_cast<std::uint64_t>(state.range(0));
+  constexpr LinkId kSources = 1024;
+  TimeVortex tv;
+  rng::XorShift128Plus rng(1);
+  std::vector<std::uint64_t> seq(kSources, 0);
+  auto resend = [&](EventPtr ev, SimTime now) {
+    const auto src = static_cast<LinkId>(rng.next_bounded(kSources));
+    const SimTime delay = (200 + 20 * (1 + rng.next_bounded(8))) * kNanosecond;
+    tv.insert(TimeVortexTestPeer::restamped(std::move(ev), now + delay, src,
+                                            seq[src]++));
+  };
+  for (std::uint64_t i = 0; i < depth; ++i) {
+    resend(std::make_unique<VortexEvent>(), 0);
+  }
+  for (auto _ : state) {
+    const SimTime now = tv.next_time();
+    resend(tv.pop(), now);
+  }
+  benchmark::DoNotOptimize(tv.next_time());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TimeVortexHold)->Arg(512)->Arg(2048);
 
 // ---- Link send/deliver through the serial engine ----------------------
 

@@ -615,12 +615,9 @@ void Simulation::drain_mailbox(RankState& rank) {
     incoming.swap(rank.mailbox);
   }
   rank.mailbox_received += incoming.size();
-  // Deterministic total order independent of sender thread interleaving:
-  // EventOrder is (time, priority, source link, per-link sequence).
-  std::sort(incoming.begin(), incoming.end(),
-            [](const EventPtr& a, const EventPtr& b) {
-              return EventOrder{}(*a, *b);
-            });
+  // The mailbox order depends on which sender thread flushed first, but
+  // no sort is needed: every event's EventOrder key is unique, so the
+  // vortex pops the same sequence whatever order they went in.
   for (auto& ev : incoming) rank.vortex.insert(std::move(ev));
   // The swap left the (empty) scratch capacity in the mailbox; clearing
   // here leaves this window's capacity staged for the next drain.

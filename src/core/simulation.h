@@ -12,8 +12,9 @@
 //     outgoing cross-rank links, so every rank may safely process all
 //     events earlier than the minimum of that bound over the ranks (the
 //     window horizon, see next_horizon) before the next synchronization;
-//   * mailbox drains sort by (time, priority, source link, source sequence)
-//     so results are bit-identical regardless of thread interleaving and
+//   * every event pops in one total order, (time, priority, source link,
+//     source sequence), whatever order the mailboxes delivered it in, so
+//     results are bit-identical regardless of thread interleaving and
 //     rank count, up to window-quantized primary termination at R > 1.
 #pragma once
 

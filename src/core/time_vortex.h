@@ -1,23 +1,31 @@
 // TimeVortex: the central pending-event queue of a simulation partition.
 //
-// A 4-ary min-heap over (delivery_time, priority, source, sequence).  The
+// A binary min-heap over (delivery_time, priority, source, sequence).  The
 // name comes from SST, where the same structure drives the main event loop.
 //
 // Hot-path layout: each heap slot stores the full ordering key *inline*
 // next to the owning event pointer, so sift comparisons never dereference
 // the Event (which lives wherever the allocator put it).  A comparison is
 // two adjacent 32-byte nodes instead of two random heap objects — the
-// difference between L1 hits and cache misses on deep queues.  The 4-ary
-// shape halves the tree depth (the sift-down on every pop walks ~log4
-// levels) and keeps the four candidate children in two cache lines.
+// difference between L1 hits and cache misses on deep queues.  The key is
+// two words compared as one 128-bit value, (time, priority << 32 | source),
+// and the sequence number is read only when both words tie.
+//
+// Pops are bottom-up: the hole left at the root walks to a leaf along the
+// smaller child, one comparison per level with a branch-free pick, and the
+// displaced tail node then sifts up from that leaf — usually not far, as a
+// tail node is among the latest in the heap.  Model traffic is tie-heavy
+// (delivery times on a few-nanosecond grid), so the top of the heap holds
+// many equal times; a sift that compares field by field, or stops as soon
+// as the moving node wins, mispredicts at almost every level there.
 //
 // Ordering keys are unique — (source, seq) breaks every tie — so the pop
 // sequence is the engine's deterministic total order regardless of heap
-// arity or internal layout.
+// shape, internal layout or the order in which events were inserted.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -45,9 +53,11 @@ class TimeVortex {
   void insert(EventPtr ev) {
     if (!ev) throw SimulationError("TimeVortex::insert: null event");
     const Event& e = *ev;
-    heap_.push_back(Node{e.delivery_time_, e.priority_, e.link_id_,
-                         e.order_, std::move(ev)});
-    sift_up(heap_.size() - 1);
+    heap_.emplace_back();  // the hole the new node sifts up from
+    sift_up(heap_.size() - 1, 0,
+            Node{e.delivery_time_,
+                 std::uint64_t{e.priority_} << 32 | e.link_id_, e.order_,
+                 std::move(ev)});
   }
 
   /// Removes and returns the earliest event.  Empty queue is a programming
@@ -83,7 +93,7 @@ class TimeVortex {
     std::vector<EventPtr> out;
     std::size_t w = 0;
     for (std::size_t r = 0; r < heap_.size(); ++r) {
-      if (pred(heap_[r].source)) {
+      if (pred(static_cast<LinkId>(heap_[r].word))) {
         out.push_back(std::move(heap_[r].ev));
       } else {
         if (w != r) heap_[w] = std::move(heap_[r]);
@@ -92,11 +102,7 @@ class TimeVortex {
     }
     if (w == heap_.size()) return out;  // nothing matched; heap untouched
     heap_.resize(w);
-    if (heap_.size() > 1) {
-      for (std::size_t i = (heap_.size() - 2) / kArity + 1; i-- > 0;) {
-        sift_down(i);
-      }
-    }
+    for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
     return out;
   }
 
@@ -106,55 +112,51 @@ class TimeVortex {
   /// One heap slot: the 24-byte ordering key inline, then the event.
   struct Node {
     SimTime time;
-    std::uint32_t priority;
-    LinkId source;
+    std::uint64_t word;  // priority << 32 | source
     std::uint64_t seq;
     EventPtr ev;
   };
 
-  /// EventOrder over the inline keys (kept in lockstep with EventOrder —
-  /// same field-by-field comparison, no Event dereference).
-  [[nodiscard]] static bool node_before(const Node& a, const Node& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.priority != b.priority) return a.priority < b.priority;
-    if (a.source != b.source) return a.source < b.source;
-    return a.seq < b.seq;
+  __extension__ using u128 = unsigned __int128;
+
+  /// EventOrder over the inline keys: (time, priority, source) is one
+  /// 128-bit comparison, and seq breaks a tie of both words.
+  [[nodiscard]] static bool before(const Node& a, const Node& b) {
+    const u128 ka = u128{a.time} << 64 | a.word;
+    const u128 kb = u128{b.time} << 64 | b.word;
+    return ka != kb ? ka < kb : a.seq < b.seq;
   }
 
-  static constexpr std::size_t kArity = 4;
+  // Both sifts move nodes into a hole that percolates through the tree:
+  // one node move per level instead of a three-move swap.
 
-  // Both sifts move the displaced node into a hole that percolates
-  // through the tree: one node move per level instead of a three-move
-  // swap.
-
-  void sift_up(std::size_t i) {
-    if (i == 0) return;
-    Node moving = std::move(heap_[i]);
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / kArity;
-      if (!node_before(moving, heap_[parent])) break;
+  /// Fills the hole at `i` with `moving`, first walking the hole up past
+  /// every ancestor that `moving` sorts before, but never above `top`.
+  void sift_up(std::size_t i, std::size_t top, Node moving) {
+    while (i > top) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!before(moving, heap_[parent])) break;
       heap_[i] = std::move(heap_[parent]);
       i = parent;
     }
     heap_[i] = std::move(moving);
   }
 
-  void sift_down(std::size_t i) {
+  /// Orders the subtree at `top`, whose children are already heaps: the
+  /// hole left by the node at `top` walks down to a leaf along the smaller
+  /// child, then that node sifts up from the leaf.  The sift-up stops at
+  /// `top` because the make-heap in extract_if has not yet ordered the
+  /// nodes above it.
+  void sift_down(std::size_t top) {
     const std::size_t n = heap_.size();
-    Node moving = std::move(heap_[i]);
-    for (;;) {
-      const std::size_t first = kArity * i + 1;
-      if (first >= n) break;
-      std::size_t smallest = first;
-      const std::size_t end = std::min(first + kArity, n);
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (node_before(heap_[c], heap_[smallest])) smallest = c;
-      }
-      if (!node_before(heap_[smallest], moving)) break;
-      heap_[i] = std::move(heap_[smallest]);
-      i = smallest;
+    Node moving = std::move(heap_[top]);
+    std::size_t i = top;
+    for (std::size_t c = 2 * i + 1; c < n; c = 2 * i + 1) {
+      if (c + 1 < n) c += before(heap_[c + 1], heap_[c]);
+      heap_[i] = std::move(heap_[c]);
+      i = c;
     }
-    heap_[i] = std::move(moving);
+    sift_up(i, top, std::move(moving));
   }
 
   std::vector<Node> heap_;

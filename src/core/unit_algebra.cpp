@@ -75,11 +75,26 @@ struct UnitDef {
   Units units;
 };
 
-Units make_units(int si) {
+constexpr Units make_units(int si) {
   Units u;
   u.exp[si] = 1;
   return u;
 }
+
+constexpr Units per_second(Units u) {
+  --u.exp[Units::kSeconds];
+  return u;
+}
+
+// The dimensions the conversions accept, as compile-time constants: the
+// conversions run for every parsed time, clock and size, and
+// has_units_of would parse its example text on each call.
+constexpr Units kTimeUnits = make_units(Units::kSeconds);
+constexpr Units kFrequencyUnits = per_second(make_units(Units::kEvents));
+constexpr Units kPerSecondUnits = per_second(Units{});
+constexpr Units kByteUnits = make_units(Units::kBytes);
+constexpr Units kByteRateUnits = per_second(make_units(Units::kBytes));
+constexpr Units kBitRateUnits = per_second(make_units(Units::kBits));
 
 // Table of base unit suffixes (after any SI/binary prefix is removed).
 const std::map<std::string, UnitDef, std::less<>>& unit_table() {
@@ -244,7 +259,7 @@ bool UnitAlgebra::has_units_of(std::string_view example) const {
 }
 
 SimTime UnitAlgebra::to_simtime() const {
-  if (!has_units_of("1s"))
+  if (units_ != kTimeUnits)
     throw ConfigError("expected a time quantity, got '" + to_string() + "'");
   const double ps = value_ * 1e12;
   if (ps < 0 || ps > 1.8e19)
@@ -253,28 +268,26 @@ SimTime UnitAlgebra::to_simtime() const {
 }
 
 SimTime UnitAlgebra::to_period() const {
-  if (has_units_of("1s")) return to_simtime();
-  if (has_units_of("1Hz")) {
+  if (units_ == kTimeUnits) return to_simtime();
+  if (units_ == kFrequencyUnits) {
     if (value_ <= 0) throw ConfigError("frequency must be positive");
     return frequency_to_period(value_);
   }
   // Bare 1/s is also accepted.
-  Units inv_sec;
-  inv_sec.exp[Units::kSeconds] = -1;
-  if (units_ == inv_sec) return frequency_to_period(value_);
+  if (units_ == kPerSecondUnits) return frequency_to_period(value_);
   throw ConfigError("expected a frequency or period, got '" + to_string() +
                     "'");
 }
 
 std::uint64_t UnitAlgebra::to_bytes() const {
-  if (!has_units_of("1B"))
+  if (units_ != kByteUnits)
     throw ConfigError("expected a byte count, got '" + to_string() + "'");
   return rounded();
 }
 
 double UnitAlgebra::to_bytes_per_second() const {
-  if (has_units_of("1B/s")) return value_;
-  if (has_units_of("1b/s")) return value_ / 8.0;
+  if (units_ == kByteRateUnits) return value_;
+  if (units_ == kBitRateUnits) return value_ / 8.0;
   throw ConfigError("expected a bandwidth, got '" + to_string() + "'");
 }
 

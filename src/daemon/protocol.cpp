@@ -39,6 +39,17 @@ void append_common_run_fields(std::ostream& os, const RunRequest& req) {
   if (req.test_signal != 0) os << ",\"test_signal\":" << req.test_signal;
 }
 
+/// Reads member `key` of a reply as a whole number in [lo, hi], or
+/// `fallback` when it is absent; a bad value throws ConfigError naming
+/// `kind` and the key.
+std::uint64_t reply_count(const sdl::JsonValue& doc, const char* kind,
+                          const char* key, std::uint64_t fallback,
+                          std::uint64_t lo, std::uint64_t hi) {
+  if (!doc.has(key)) return fallback;
+  return sdl::setting_count(
+      doc.at(key), std::string(kind) + " \"" + key + "\"", lo, hi);
+}
+
 }  // namespace
 
 ClientMessage parse_client_message(const std::string& line) {
@@ -182,9 +193,7 @@ WorkerReply parse_worker_reply(const std::string& line) {
   // ledger field is.  A bad field fails the reply, never the daemon.
   auto count = [&doc](const char* key, std::uint64_t fallback,
                       std::uint64_t hi) {
-    if (!doc.has(key)) return fallback;
-    return sdl::setting_count(
-        doc.at(key), std::string("worker reply \"") + key + "\"", 0, hi);
+    return reply_count(doc, "worker reply", key, fallback, 0, hi);
   };
   try {
     reply.id = doc.get_string("id", "");
@@ -196,6 +205,33 @@ WorkerReply parse_worker_reply(const std::string& line) {
     reply.cache_hit = doc.get_bool("cache_hit", false);
   } catch (const ConfigError& e) {
     throw DaemonError(std::string("bad worker reply: ") + e.what());
+  }
+  return reply;
+}
+
+DaemonReply parse_daemon_reply(const sdl::JsonValue& doc) {
+  DaemonReply reply;
+  auto count = [&doc](const char* key, std::uint64_t fallback,
+                      std::uint64_t lo, std::uint64_t hi) {
+    return reply_count(doc, "daemon reply", key, fallback, lo, hi);
+  };
+  try {
+    reply.type = doc.get_string("type", "");
+    reply.id = doc.get_string("id", "");
+    reply.reason = doc.get_string("reason", "");
+    reply.status = doc.get_string("status", reply.status);
+    reply.exit_code =
+        static_cast<int>(count("exit", reply.exit_code, 0, 255));
+    reply.term_signal =
+        static_cast<int>(count("signal", reply.term_signal, 0, 64));
+    reply.attempts = static_cast<unsigned>(
+        count("attempts", reply.attempts, 1, UINT32_MAX));
+    reply.stats = doc.get_string("stats", "");
+    reply.error = doc.get_string("error", "");
+    reply.queue_capacity = static_cast<std::size_t>(
+        count("queue_capacity", reply.queue_capacity, 1, SIZE_MAX));
+  } catch (const ConfigError& e) {
+    throw DaemonError(std::string("bad daemon reply: ") + e.what());
   }
   return reply;
 }

@@ -100,6 +100,26 @@ struct WorkerReply {
 [[nodiscard]] std::string worker_reply_to_line(const WorkerReply& reply);
 [[nodiscard]] WorkerReply parse_worker_reply(const std::string& line);
 
+/// A daemon -> client reply as the clients (sstsim --daemon, sstdse
+/// --daemon) read it.  Members absent from the line keep the defaults.
+struct DaemonReply {
+  std::string type;               // accepted|rejected|done|status|error
+  std::string id;
+  std::string reason;             // rejected: "overloaded" | "draining"
+  std::string status = "failed";  // done: "ok" | "failed" | ...
+  int exit_code = 1;              // done: 0..255
+  int term_signal = 0;            // done: 0..64
+  unsigned attempts = 1;          // done: 1..UINT32_MAX
+  std::string stats;              // done: the stats.json path
+  std::string error;              // done, error
+  std::size_t queue_capacity = 16;  // status: at least 1
+};
+
+/// Reads a parsed reply line.  Its counts are cast to integers, so each is
+/// range-checked first; a bad or wrong-typed member is a DaemonError
+/// naming it.
+[[nodiscard]] DaemonReply parse_daemon_reply(const sdl::JsonValue& doc);
+
 /// Job line sent daemon -> worker: the run request plus the daemon's
 /// content hash (so the worker's graph cache keys match the daemon's).
 [[nodiscard]] std::string worker_job_to_line(const RunRequest& req,

@@ -89,9 +89,8 @@ void run_on_daemon(std::deque<const Point*> todo, const std::string& socket,
   daemon::DaemonClient client(socket);
   // Never submit more than the daemon's admission queue can hold, so a
   // single sweep cannot trip its own overload shedding.
-  const auto capacity = static_cast<std::size_t>(
-      client.status().get_number("queue_capacity", 16));
-  const std::size_t window = capacity > 0 ? capacity : 1;
+  const std::size_t window =
+      daemon::parse_daemon_reply(client.status()).queue_capacity;
 
   std::map<std::string, const Point*> inflight;
   while (!todo.empty() || !inflight.empty()) {
@@ -101,16 +100,15 @@ void run_on_daemon(std::deque<const Point*> todo, const std::string& socket,
       inflight.emplace(q.req.id, todo.front());
       todo.pop_front();
     }
-    const sdl::JsonValue reply = client.next_reply();
-    const std::string type = reply.get_string("type", "");
-    const std::string id = reply.get_string("id", "");
-    if (type == "error") {
-      throw daemon::DaemonError("daemon: " + reply.get_string("error", "?"));
+    const daemon::DaemonReply reply =
+        daemon::parse_daemon_reply(client.next_reply());
+    if (reply.type == "error") {
+      throw daemon::DaemonError("daemon: " + reply.error);
     }
-    const auto it = inflight.find(id);
+    const auto it = inflight.find(reply.id);
     if (it == inflight.end()) continue;
-    if (type == "rejected") {
-      if (reply.get_string("reason", "") == "draining") {
+    if (reply.type == "rejected") {
+      if (reply.reason == "draining") {
         throw daemon::DaemonError("daemon at '" + socket +
                                   "' is draining and refused the sweep");
       }
@@ -121,14 +119,14 @@ void run_on_daemon(std::deque<const Point*> todo, const std::string& socket,
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       continue;
     }
-    if (type != "done") continue;
+    if (reply.type != "done") continue;
     inflight.erase(it);
     daemon::RequestRecord rec;
-    rec.id = id;
-    rec.status = reply.get_string("status", "failed");
-    rec.exit_code = static_cast<int>(reply.get_number("exit", 1));
-    rec.term_signal = static_cast<int>(reply.get_number("signal", 0));
-    rec.attempts = static_cast<unsigned>(reply.get_number("attempts", 1));
+    rec.id = reply.id;
+    rec.status = reply.status;
+    rec.exit_code = reply.exit_code;
+    rec.term_signal = reply.term_signal;
+    rec.attempts = reply.attempts;
     finish(rec);
   }
 }

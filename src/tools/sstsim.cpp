@@ -239,29 +239,25 @@ int run_on_daemon(const std::string& socket,
     sst::daemon::DaemonClient client(socket);
     client.send(req);
     for (;;) {
-      const sst::sdl::JsonValue reply = client.next_reply();
-      const std::string type = reply.get_string("type", "");
-      if (type == "accepted") continue;  // wait for the outcome
-      if (type == "rejected") {
-        std::cerr << "daemon rejected the request: "
-                  << reply.get_string("reason", "?") << "\n";
+      const sst::daemon::DaemonReply reply =
+          sst::daemon::parse_daemon_reply(client.next_reply());
+      if (reply.type == "accepted") continue;  // wait for the outcome
+      if (reply.type == "rejected") {
+        std::cerr << "daemon rejected the request: " << reply.reason << "\n";
         return kExitDaemon;
       }
-      if (type == "done") {
-        const std::string status = reply.get_string("status", "failed");
-        const int code = static_cast<int>(reply.get_number("exit", 1));
-        if (status == "ok") {
-          std::cerr << "daemon run ok (" << reply.get_number("attempts", 1)
-                    << " attempt(s)); statistics written to "
-                    << reply.get_string("stats", "") << "\n";
+      if (reply.type == "done") {
+        if (reply.status == "ok") {
+          std::cerr << "daemon run ok (" << reply.attempts
+                    << " attempt(s)); statistics written to " << reply.stats
+                    << "\n";
           return 0;
         }
-        std::cerr << "daemon run " << status << ": "
-                  << reply.get_string("error", "") << "\n";
-        return code != 0 ? code : kExitRuntime;
+        std::cerr << "daemon run " << reply.status << ": " << reply.error
+                  << "\n";
+        return reply.exit_code != 0 ? reply.exit_code : kExitRuntime;
       }
-      std::cerr << "daemon error: " << reply.get_string("error", "?")
-                << "\n";
+      std::cerr << "daemon error: " << reply.error << "\n";
       return kExitDaemon;
     }
   } catch (const sst::daemon::DaemonError& e) {

@@ -155,6 +155,55 @@ TEST(Daemon, WorkerReplyRejectsBadCounts) {
   EXPECT_EQ(top.events, 10000000000000000000ull);
 }
 
+TEST(Daemon, DaemonReplyRejectsBadCounts) {
+  // sstsim --daemon and sstdse --daemon cast a done reply's exit, signal
+  // and attempts and a status reply's queue_capacity to integers; a value
+  // out of range or not whole is an error naming the field.
+  for (const char* field : {"exit", "signal", "attempts", "queue_capacity"}) {
+    for (const char* value : {"1e30", "-1", "2.5"}) {
+      const std::string line = std::string(R"({"type":"done","id":"r",")") +
+                               field + "\":" + value + "}";
+      try {
+        (void)parse_daemon_reply(sdl::JsonValue::parse(line));
+        ADD_FAILURE() << "accepted " << line;
+      } catch (const DaemonError& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string("daemon reply \"") +
+                                             field + "\""),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // Zero attempts and a zero-slot queue cannot happen either.
+  for (const char* bad : {R"({"attempts":0})", R"({"queue_capacity":0})",
+                          R"({"exit":256})", R"({"signal":65})",
+                          R"({"status":5})"}) {
+    EXPECT_THROW((void)parse_daemon_reply(sdl::JsonValue::parse(bad)),
+                 DaemonError)
+        << bad;
+  }
+  // The daemon's own lines parse, and absent members keep the defaults.
+  const DaemonReply done = parse_daemon_reply(sdl::JsonValue::parse(
+      R"({"type":"done","id":"r","status":"failed","exit":255,)"
+      R"("signal":64,"attempts":4294967295,"stats":"o/stats.json",)"
+      R"("error":"boom"})"));
+  EXPECT_EQ(done.type, "done");
+  EXPECT_EQ(done.id, "r");
+  EXPECT_EQ(done.status, "failed");
+  EXPECT_EQ(done.exit_code, 255);
+  EXPECT_EQ(done.term_signal, 64);
+  EXPECT_EQ(done.attempts, 4294967295u);
+  EXPECT_EQ(done.stats, "o/stats.json");
+  EXPECT_EQ(done.error, "boom");
+  const DaemonReply status = parse_daemon_reply(
+      sdl::JsonValue::parse(R"({"type":"status","queue_capacity":3})"));
+  EXPECT_EQ(status.queue_capacity, 3u);
+  EXPECT_EQ(status.exit_code, 1);
+  EXPECT_EQ(status.attempts, 1u);
+  EXPECT_EQ(parse_daemon_reply(sdl::JsonValue::parse("{}")).queue_capacity,
+            16u);
+}
+
 TEST(Daemon, RunOpRejectsBadCountsAndBudgets) {
   const std::string head =
       R"({"op":"run","model":"{}","out":"/tmp/x",)";
