@@ -523,7 +523,7 @@ void Daemon::drop_client(int fd) {
   }
 }
 
-std::string Daemon::done_line(const RequestRecord& rec) const {
+std::string Daemon::done_line(const RequestRecord& rec) {
   std::ostringstream os;
   os << "{\"type\":\"done\",\"id\":\"" << obs::json_escape(rec.id)
      << "\",\"status\":\"" << obs::json_escape(rec.status)

@@ -53,6 +53,11 @@ class Daemon {
   /// DaemonError for startup failures (socket in use, bad state dir).
   int run();
 
+  /// The "done" reply for a final record, as every client reads it with
+  /// parse_daemon_reply.  A model refused at admission, or a request lost
+  /// across a restart before it ran, reports 0 attempts.
+  [[nodiscard]] static std::string done_line(const RequestRecord& rec);
+
  private:
   struct Client {
     LineBuffer in;
@@ -75,9 +80,8 @@ class Daemon {
   // Replies.
   void send_line(int fd, const std::string& line);
   void flush_client(int fd);
-  void notify_waiters(const std::string& id, const std::string& done_line);
+  void notify_waiters(const std::string& id, const std::string& line);
   void drop_client(int fd);
-  [[nodiscard]] std::string done_line(const RequestRecord& rec) const;
   [[nodiscard]] std::string status_line() const;
   void write_metrics();
 

@@ -225,7 +225,7 @@ DaemonReply parse_daemon_reply(const sdl::JsonValue& doc) {
     reply.term_signal =
         static_cast<int>(count("signal", reply.term_signal, 0, 64));
     reply.attempts = static_cast<unsigned>(
-        count("attempts", reply.attempts, 1, UINT32_MAX));
+        count("attempts", reply.attempts, 0, UINT32_MAX));
     reply.stats = doc.get_string("stats", "");
     reply.error = doc.get_string("error", "");
     reply.queue_capacity = static_cast<std::size_t>(

@@ -109,7 +109,7 @@ struct DaemonReply {
   std::string status = "failed";  // done: "ok" | "failed" | ...
   int exit_code = 1;              // done: 0..255
   int term_signal = 0;            // done: 0..64
-  unsigned attempts = 1;          // done: 1..UINT32_MAX
+  unsigned attempts = 1;          // done: 0 if refused before a run
   std::string stats;              // done: the stats.json path
   std::string error;              // done, error
   std::size_t queue_capacity = 16;  // status: at least 1

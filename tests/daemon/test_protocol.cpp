@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "daemon/daemon.h"
 #include "daemon/protocol.h"
 
 namespace sst::daemon {
@@ -174,10 +175,9 @@ TEST(Daemon, DaemonReplyRejectsBadCounts) {
       }
     }
   }
-  // Zero attempts and a zero-slot queue cannot happen either.
-  for (const char* bad : {R"({"attempts":0})", R"({"queue_capacity":0})",
-                          R"({"exit":256})", R"({"signal":65})",
-                          R"({"status":5})"}) {
+  // A zero-slot queue cannot happen either.
+  for (const char* bad : {R"({"queue_capacity":0})", R"({"exit":256})",
+                          R"({"signal":65})", R"({"status":5})"}) {
     EXPECT_THROW((void)parse_daemon_reply(sdl::JsonValue::parse(bad)),
                  DaemonError)
         << bad;
@@ -202,6 +202,41 @@ TEST(Daemon, DaemonReplyRejectsBadCounts) {
   EXPECT_EQ(status.attempts, 1u);
   EXPECT_EQ(parse_daemon_reply(sdl::JsonValue::parse("{}")).queue_capacity,
             16u);
+}
+
+TEST(Daemon, DaemonReplyReadsEveryDoneLineTheDaemonWrites) {
+  // A model refused at admission and a request lost across a restart
+  // never ran: their records keep 0 attempts, and the clients must read
+  // the refusal instead of failing on the count.
+  RequestRecord refused;
+  refused.id = "bad-model";
+  refused.status = "failed";
+  refused.exit_code = 2;
+  refused.out_dir = "/tmp/o";
+  refused.error = "unknown parameter 'sizee'";
+  RequestRecord lost = refused;
+  lost.status = "error";
+  lost.exit_code = 7;
+  lost.error = "recovery failed: spool missing";
+  RequestRecord ran;
+  ran.id = "p7";
+  ran.status = "failed";
+  ran.exit_code = 1;
+  ran.term_signal = 11;
+  ran.attempts = UINT32_MAX;
+  for (const RequestRecord& rec : {RequestRecord{}, refused, lost, ran}) {
+    const std::string line = Daemon::done_line(rec);
+    DaemonReply reply;
+    ASSERT_NO_THROW(reply = parse_daemon_reply(sdl::JsonValue::parse(line)))
+        << line;
+    EXPECT_EQ(reply.type, "done");
+    EXPECT_EQ(reply.id, rec.id);
+    EXPECT_EQ(reply.status, rec.status);
+    EXPECT_EQ(reply.exit_code, rec.exit_code);
+    EXPECT_EQ(reply.term_signal, rec.term_signal);
+    EXPECT_EQ(reply.attempts, rec.attempts);
+    EXPECT_EQ(reply.error, rec.error);
+  }
 }
 
 TEST(Daemon, RunOpRejectsBadCountsAndBudgets) {

@@ -23,6 +23,9 @@
 #      socket is released.
 #   8. A request line with a field of the wrong type ({"op": 5}) gets an
 #      error reply, and the daemon goes on answering `status`.
+#   9. A model the daemon refuses at admission (an undeclared param) is
+#      exit 2 naming the param, as a direct run is: the refusal's done
+#      line reports 0 attempts and the client reads it.
 #
 #   test_daemon.sh <sstsimd> <sstsim> <sstdse> <models_dir>
 set -u
@@ -150,6 +153,16 @@ for wd in "--watchdog 0" "--override /config/watchdog_seconds=0"; do
     grep -q '"/config/watchdog_seconds":"0"' "$WORK/via_wd0/request.json"
   rm -rf "$WORK/via_wd0"
 done
+
+# ---- 9: a refused model is a config error, not a daemon error -------
+sed 's/"msg_bytes": 4096/"msg_bytes": 4096, "msg_bytez": 1/' \
+    "$MODELS/pingpong.json" > "$WORK/bad_param.json"
+"$SSTSIM" "$WORK/bad_param.json" --daemon "$SOCK" \
+    --daemon-out "$WORK/bad_param" > /dev/null 2> "$WORK/bad_param.err"
+code=$?
+check "refused model exits 2 (got $code)" [ "$code" -eq 2 ]
+check "refusal names the unknown param" \
+  grep -q "unknown param 'msg_bytez'" "$WORK/bad_param.err"
 
 # ---- 8: a mistyped field fails the request, not the daemon -----------
 reply="$(python3 - "$SOCK" <<'PY'
