@@ -25,10 +25,8 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/migrate.h"
 #include "core/sst.h"
 #include "net/hotspot.h"
-#include "net/net_lib.h"
 #include "../tests/test_components.h"
 
 namespace {
@@ -130,7 +128,6 @@ RunStats run_hotspot_once(unsigned ranks, bool rebalance, unsigned x,
                   200 * kNanosecond);
     }
   }
-  if (rebalance) ckpt::install_migrator(sim);
   return sim.run();
 }
 
@@ -202,7 +199,6 @@ void write_json(const std::string& path, const std::vector<BenchRow>& rows,
 }  // namespace
 
 int main(int argc, char** argv) {
-  sst::net::register_library();  // HotspotToken checkpoint/migration types
   SimTime end = 2 * kMillisecond;
   unsigned repeat = 3;
   std::string json_path;

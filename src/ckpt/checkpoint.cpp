@@ -287,17 +287,19 @@ std::vector<CheckpointEngine::ClockRecord> CheckpointEngine::gather_clocks(
     std::vector<ComponentId> after;  // behind the sampler on their rank
   };
   std::map<SimTime, Gathered> by_period;
-  for (const auto& [key, clock] : sim.clocks_) {
-    Gathered& g = by_period[key.second];
-    g.record.period = key.second;
-    g.record.ticks += clock->ticks_;
-    if (clock->scheduled_) g.record.cycle = clock->cycle_;
-    bool past_sampler = false;
-    for (const auto& h : clock->handlers_) {
-      if (h.comp == kInvalidComponent) {
-        past_sampler = g.sampler = true;
-      } else {
-        (past_sampler ? g.after : g.record.order).push_back(h.comp);
+  for (const auto& r : sim.ranks_) {
+    for (const auto& [period, clock] : r.clocks) {
+      Gathered& g = by_period[period];
+      g.record.period = period;
+      g.record.ticks += clock->ticks_;
+      if (clock->scheduled_) g.record.cycle = clock->cycle_;
+      bool past_sampler = false;
+      for (const auto& h : clock->handlers_) {
+        if (h.comp == kInvalidComponent) {
+          past_sampler = g.sampler = true;
+        } else {
+          (past_sampler ? g.after : g.record.order).push_back(h.comp);
+        }
       }
     }
   }
@@ -313,25 +315,27 @@ std::vector<CheckpointEngine::ClockRecord> CheckpointEngine::gather_clocks(
 
 void CheckpointEngine::apply_clocks(Simulation& sim,
                                     std::vector<ClockRecord>& records) {
-  // Every rebuilt handler by period, from every rank; each rank's
-  // metrics sampler waits apart.  The pending ticks went with the
-  // cleared vortices.
+  // Every rebuilt component handler by period, from every rank.  The
+  // metrics samplers stay on their clocks; the pending ticks went with
+  // the cleared vortices.
   struct Rebuilt {
     std::vector<Clock::Handler> handlers;
-    std::vector<std::pair<RankId, Clock::Handler>> samplers;
+    std::vector<Clock*> sampled;  // the period's clocks with a sampler
   };
   std::map<SimTime, Rebuilt> rebuilt;
-  for (auto& [key, clock] : sim.clocks_) {
-    Rebuilt& r = rebuilt[key.second];
-    for (auto& h : clock->handlers_) {
-      if (h.comp == kInvalidComponent) {
-        r.samplers.emplace_back(key.first, std::move(h));
-      } else {
-        r.handlers.push_back(std::move(h));
+  for (auto& rank : sim.ranks_) {
+    for (auto& [period, clock] : rank.clocks) {
+      Rebuilt& r = rebuilt[period];
+      auto& hs = clock->handlers_;
+      for (auto& h : hs) {
+        if (h.comp != kInvalidComponent) r.handlers.push_back(std::move(h));
       }
+      std::erase_if(hs, [](const Clock::Handler& h) {
+        return h.comp != kInvalidComponent;
+      });
+      if (!hs.empty()) r.sampled.push_back(clock.get());
+      clock->scheduled_ = false;
     }
-    clock->handlers_.clear();
-    clock->scheduled_ = false;
   }
   SimTime prev = 0;
   for (const ClockRecord& rec : records) {
@@ -349,23 +353,23 @@ void CheckpointEngine::apply_clocks(Simulation& sim,
           "ps does not match this run's metrics sampling (same --metrics "
           "and --metrics-period as the original run required)");
     };
+    if (!rec.order.empty() &&
+        (rec.cycle == 0 || rec.cycle > kTimeNever / rec.period)) {
+      throw CheckpointError(
+          "checkpoint clock of period " + std::to_string(rec.period) +
+          "ps has handlers but pending cycle " + std::to_string(rec.cycle) +
+          " (corrupt checkpoint)");
+    }
 
-    // Push the handlers back in saved order, each onto the clock of the
-    // rank its component lives on now, and each rank's sampler at the
-    // marker.  Handlers the order does not name had unregistered before
-    // the snapshot; they are dropped, as in the uninterrupted run.
-    std::vector<Clock*> armed;
-    const auto push = [&sim, &rec, &armed](RankId rank, Clock::Handler h) {
-      Clock* clock = sim.get_clock(rank, rec.period);
-      if (clock->handlers_.empty()) armed.push_back(clock);
-      clock->handlers_.push_back(std::move(h));
-    };
-    bool marker = false;
+    // Place the handlers in saved order by the engine's rule, each on
+    // the side of the sampler marker it was saved on.  Handlers the
+    // order does not name had unregistered before the snapshot; they are
+    // dropped, as in the uninterrupted run.
+    bool after_sampler = false;
     for (const ComponentId id : rec.order) {
       if (id == kInvalidComponent) {
-        if (marker || pool.samplers.empty()) throw sampling_mismatch();
-        marker = true;
-        for (auto& [rank, h] : pool.samplers) push(rank, std::move(h));
+        if (after_sampler || pool.sampled.empty()) throw sampling_mismatch();
+        after_sampler = true;
         continue;
       }
       const auto it = std::find_if(
@@ -378,24 +382,19 @@ void CheckpointEngine::apply_clocks(Simulation& sim,
             " that the rebuilt model did not register (model/checkpoint "
             "mismatch)");
       }
-      push(sim.components_[id]->rank_, std::move(*it));
+      sim.place_handler(rec.period, std::move(*it), after_sampler,
+                        rec.cycle);
       pool.handlers.erase(it);
     }
-    if (!marker && !pool.samplers.empty()) throw sampling_mismatch();
-
-    // Arm each clock that got a handler at the saved cycle; the summed
-    // tick count goes to one clock of the period.
-    for (Clock* clock : armed) {
-      if (rec.cycle == 0 || rec.cycle > kTimeNever / rec.period) {
-        throw CheckpointError(
-            "checkpoint clock of period " + std::to_string(rec.period) +
-            "ps has handlers but pending cycle " +
-            std::to_string(rec.cycle) + " (corrupt checkpoint)");
+    if (!after_sampler && !pool.sampled.empty()) throw sampling_mismatch();
+    // The samplers tick with the period's other clocks.
+    for (Clock* clock : pool.sampled) {
+      if (!clock->scheduled_) {
+        clock->schedule_next((rec.cycle - 1) * rec.period);
       }
-      clock->schedule_next((rec.cycle - 1) * rec.period);
     }
-    (armed.empty() ? sim.get_clock(0, rec.period) : armed.front())->ticks_ =
-        rec.ticks;
+    // The summed tick count goes to one clock of the period.
+    sim.get_clock(0, rec.period)->ticks_ = rec.ticks;
   }
   if (!rebuilt.empty()) {
     throw CheckpointError("the rebuilt model has a clock of period " +
@@ -436,8 +435,7 @@ void CheckpointEngine::apply_events(Simulation& sim,
     // Handler recomputed from the source link; the event waits on the
     // rank its target component lives on in this run.
     ev.handler_ = &sim.links_[id]->peer_->handler_;
-    const RankId rank = sim.components_[sim.link_target_[id]]->rank_;
-    sim.ranks_[rank].vortex.insert(std::move(slot.owned));
+    sim.place_event(std::move(slot.owned));
   }
 }
 

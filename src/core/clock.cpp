@@ -55,6 +55,23 @@ void Clock::schedule_next(SimTime now) {
   sim_->schedule_local(rank_, std::move(ev));
 }
 
+void Clock::disarm() {
+  const LinkId source = Event::kClockSourceBase |
+                        static_cast<LinkId>(period_ & 0x7FFF'FFFFU);
+  TimeVortex& vortex = sim_->ranks_[rank_].vortex;
+  for (EventPtr& ev : vortex.extract_if(
+           [source](LinkId id) { return id == source; })) {
+    // Periods equal modulo 2^31 share a source id; keep the other
+    // clock's tick queued.
+    if (ev->handler_ == &tick_handler_) {
+      spare_tick_ = std::move(ev);
+    } else {
+      vortex.insert(std::move(ev));
+    }
+  }
+  scheduled_ = false;
+}
+
 void Clock::tick(SimTime now) {
   scheduled_ = false;
   ++ticks_;

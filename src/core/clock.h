@@ -57,7 +57,6 @@ class Clock {
  private:
   friend class Simulation;
   friend class ckpt::CheckpointEngine;  // cycle/handler-order overlay
-  friend class ckpt::Migrator;          // moves handlers between ranks
 
   Clock(Simulation& sim, RankId rank, SimTime period);
 
@@ -69,6 +68,10 @@ class Clock {
   void tick(SimTime now);
 
   void schedule_next(SimTime now);
+
+  /// Takes the pending tick back out of the rank's vortex into the spare
+  /// slot: a migration moved the last handler away.
+  void disarm();
 
   Simulation* sim_;
   RankId rank_;

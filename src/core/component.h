@@ -110,7 +110,6 @@ class Component {
  private:
   friend class Simulation;
   friend class ckpt::CheckpointEngine;  // base state capture/overlay
-  friend class ckpt::Migrator;          // rank_ rewrite + state transfer
 
   Simulation* sim_ = nullptr;
   ComponentId id_ = kInvalidComponent;

@@ -17,7 +17,6 @@ namespace ckpt {
 class Serializer;
 class EventRegistry;
 class CheckpointEngine;
-class Migrator;
 }  // namespace ckpt
 
 class Event;
@@ -74,7 +73,6 @@ class Event {
   friend class TimeVortexTestPeer;  // unit tests stamp events directly
   friend class ckpt::EventRegistry;      // checkpoints engine fields
   friend class ckpt::CheckpointEngine;   // recomputes handler_ on restore
-  friend class ckpt::Migrator;           // re-targets handler_ after a move
 
   SimTime delivery_time_ = 0;
   std::uint32_t priority_ = kPriorityDefault;

@@ -89,7 +89,6 @@ class Link {
   friend class Simulation;
   friend class Component;
   friend class ckpt::CheckpointEngine;  // send_seq_/poll_queue_ overlay
-  friend class ckpt::Migrator;          // re-targets pending event handlers
 
   Link(Simulation& sim, LinkId id, ComponentId owner, std::string port,
        EventHandler handler, bool polling, bool optional);

@@ -1,6 +1,7 @@
 // Online rebalancing policy: the deterministic planner that decides which
 // components the parallel engine migrates between ranks at sync barriers
-// (Simulation::maybe_rebalance runs it; ckpt::Migrator moves the state).
+// (Simulation::maybe_rebalance runs it and Simulation::migrate moves the
+// components).
 #pragma once
 
 #include <cstdint>

@@ -518,12 +518,12 @@ void Simulation::register_component_clock(ComponentId comp, SimTime period,
 }
 
 Clock* Simulation::get_clock(RankId rank, SimTime period) {
-  auto key = std::make_pair(rank, period);
-  auto it = clocks_.find(key);
-  if (it == clocks_.end()) {
-    it = clocks_
-             .emplace(key, std::unique_ptr<Clock>(
-                               new Clock(*this, rank, period)))
+  auto& clocks = ranks_[rank].clocks;
+  auto it = clocks.find(period);
+  if (it == clocks.end()) {
+    it = clocks
+             .emplace(period, std::unique_ptr<Clock>(
+                                  new Clock(*this, rank, period)))
              .first;
   }
   return it->second.get();
@@ -640,12 +640,6 @@ RunStats Simulation::run() {
   if (state_ == State::kDone) {
     throw SimulationError("Simulation::run called twice");
   }
-  if (rebalance_ctl_ != nullptr && !migrator_) {
-    throw ConfigError(
-        "rebalance: no migrator installed; call ckpt::install_migrator() "
-        "(ConfigGraph::build does this automatically when rebalancing is "
-        "enabled)");
-  }
   state_ = State::kRunning;
   if (metrics_) build_metrics_index();
 
@@ -720,8 +714,7 @@ RunStats Simulation::run() {
         "watchdog: wall-clock budget of " +
         std::to_string(config_.watchdog_seconds) + "s exceeded"));
   }
-  if (config_.detect_deadlock &&
-      primary_count_.load(std::memory_order_acquire) > 0 &&
+  if (primary_count_.load(std::memory_order_acquire) > 0 &&
       !primaries_done()) {
     bool drained = true;
     for (const auto& r : ranks_) drained = drained && r.vortex.empty();
@@ -742,19 +735,17 @@ RunStats Simulation::run() {
   run_stats_.events_processed = 0;
   for (const auto& r : ranks_) run_stats_.events_processed += r.events;
   run_stats_.clock_ticks = 0;
-  for (const auto& [key, clock] : clocks_) {
-    (void)key;
-    run_stats_.clock_ticks += clock->ticks();
+  run_stats_.pool_allocs = 0;
+  run_stats_.pool_recycles = 0;
+  for (const auto& r : ranks_) {
+    for (const auto& [period, clock] : r.clocks) {
+      run_stats_.clock_ticks += clock->ticks();
+      run_stats_.pool_allocs += clock->tick_allocs();
+      run_stats_.pool_recycles += clock->tick_recycles();
+    }
   }
   run_stats_.cross_rank_events =
       cross_rank_events_.load(std::memory_order_relaxed);
-  run_stats_.pool_allocs = 0;
-  run_stats_.pool_recycles = 0;
-  for (const auto& [key, clock] : clocks_) {
-    (void)key;
-    run_stats_.pool_allocs += clock->tick_allocs();
-    run_stats_.pool_recycles += clock->tick_recycles();
-  }
   run_stats_.exchange_flushes = 0;
   for (const auto& r : ranks_) run_stats_.exchange_flushes += r.outbox_flushes;
   run_stats_.cut_links = cut_links_;
@@ -894,8 +885,8 @@ void Simulation::run_windows() {
   rebalance_accounting_ = false;
   if (!rebalance_error_.empty()) {
     // A half-applied migration leaves an inconsistent partition; the run
-    // cannot continue.  (Never expected: the migrator only throws on
-    // engine invariant violations.)
+    // cannot continue.  (Never expected: migrate() only throws on engine
+    // invariant violations.)
     throw SimulationError("rebalance: migration failed: " +
                           rebalance_error_);
   }
@@ -1033,14 +1024,8 @@ void Simulation::set_checkpoint_writer(
 }
 
 // ---------------------------------------------------------------------
-// Online rebalancing (the migrator lives in src/ckpt; the accounting,
-// the decision cadence and the partition refresh live here)
+// Online rebalancing
 // ---------------------------------------------------------------------
-
-void Simulation::set_migrator(
-    std::function<void(Simulation&, ComponentId, RankId)> migrator) {
-  migrator_ = std::move(migrator);
-}
 
 void Simulation::maybe_rebalance(SimTime global_min) {
   // Runs inside the (noexcept) barrier completion, single-threaded, with
@@ -1059,11 +1044,11 @@ void Simulation::maybe_rebalance(SimTime global_min) {
     if (!moves.empty()) {
       const double before = RebalanceController::imbalance(rank_events);
       for (const MigrationDecision& m : moves) {
-        migrator_(*this, m.comp, m.to);
+        components_[m.comp]->rank_ = m.to;
         rank_events[m.from] -= comp_epoch_events_[m.comp];
         rank_events[m.to] += comp_epoch_events_[m.comp];
       }
-      refresh_partition();
+      migrate();
       const double after = RebalanceController::imbalance(rank_events);
       ++rebalances_;
       comps_migrated_ += moves.size();
@@ -1093,6 +1078,79 @@ void Simulation::maybe_rebalance(SimTime global_min) {
     std::fill(comp_epoch_events_.begin(), comp_epoch_events_.end(), 0);
   } catch (const std::exception& e) {
     rebalance_error_ = e.what();
+  }
+}
+
+void Simulation::migrate() {
+  // Clock handlers whose component moved leave their clock, each keeping
+  // its side of the metrics sampler.  A clock left without handlers
+  // parks its tick, as one whose last handler unregistered does, so no
+  // empty dispatch runs.
+  struct Moved {
+    SimTime period;
+    Cycle cycle;
+    bool after_sampler;
+    Clock::Handler handler;
+  };
+  std::vector<Moved> moved;
+  for (RankId r = 0; r < ranks_.size(); ++r) {
+    for (auto& [period, clock] : ranks_[r].clocks) {
+      auto& hs = clock->handlers_;
+      const std::size_t before = moved.size();
+      bool after_sampler = false;
+      for (std::size_t i = 0; i < hs.size();) {
+        const ComponentId c = hs[i].comp;
+        if (c == kInvalidComponent) after_sampler = true;
+        if (c == kInvalidComponent || components_[c]->rank_ == r) {
+          ++i;
+          continue;
+        }
+        if (!clock->scheduled_) {
+          throw SimulationError(
+              "migrate: clock of period " + std::to_string(period) +
+              "ps has handlers but no pending tick (engine bug)");
+        }
+        moved.push_back(
+            {period, clock->cycle_, after_sampler, std::move(hs[i])});
+        hs.erase(hs.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+      if (moved.size() > before && hs.empty()) clock->disarm();
+    }
+  }
+  for (Moved& m : moved) {
+    place_handler(m.period, std::move(m.handler), m.after_sampler, m.cycle);
+  }
+  // Pending deliveries follow their target.  Keys are unique, so the
+  // order they are re-queued in does not matter.
+  for (RankId r = 0; r < ranks_.size(); ++r) {
+    for (EventPtr& ev : ranks_[r].vortex.extract_if([this, r](LinkId id) {
+           return id < Event::kClockSourceBase &&
+                  components_[link_target_[id]]->rank_ != r;
+         })) {
+      place_event(std::move(ev));
+    }
+  }
+  refresh_partition();
+}
+
+void Simulation::place_handler(SimTime period, Clock::Handler h,
+                               bool after_sampler, Cycle cycle) {
+  Clock& clock = *get_clock(components_[h.comp]->rank_, period);
+  auto& hs = clock.handlers_;
+  auto at = hs.end();
+  if (!after_sampler) {
+    at = std::find_if(hs.begin(), hs.end(), [](const Clock::Handler& x) {
+      return x.comp == kInvalidComponent;
+    });
+  }
+  hs.insert(at, std::move(h));
+  if (!clock.scheduled_) {
+    clock.schedule_next((cycle - 1) * period);  // arms `cycle`
+  } else if (clock.cycle_ != cycle) {
+    throw SimulationError("clock of period " + std::to_string(period) +
+                          "ps is pending at cycle " +
+                          std::to_string(clock.cycle_) + ", not " +
+                          std::to_string(cycle) + " (engine bug)");
   }
 }
 
@@ -1230,13 +1288,12 @@ void Simulation::setup_observability() {
     }
     metrics_ = std::make_unique<obs::MetricsCollector>(config_.num_ranks);
     metrics_->set_include_engine(config_.profile_engine);
-    // One sampling clock per rank that owns components.  Each handler
-    // snapshots only its own rank's components, so parallel sampling is
-    // race-free and the merged stream matches the serial one exactly.
-    std::vector<bool> rank_used(config_.num_ranks, false);
-    for (const auto& c : components_) rank_used[c->rank_] = true;
+    // One sampling clock per rank, including ranks that own nothing yet
+    // (a migration may move components there).  Each handler snapshots
+    // only its own rank's components, so parallel sampling is race-free
+    // and the merged stream matches the serial one exactly; every
+    // sampler ticks at the same times, so no window boundary moves.
     for (RankId r = 0; r < config_.num_ranks; ++r) {
-      if (!rank_used[r]) continue;
       get_clock(r, config_.metrics_period)
           ->add_handler(kInvalidComponent, [this, r](Cycle) {
             sample_metrics(r);
@@ -1326,20 +1383,19 @@ void Simulation::sample_metrics(RankId rank) {
 }
 
 void Simulation::finalize_engine_stats(double wall_seconds) {
-  // Clocks are keyed by (rank, period); fold each rank's tick-pool
-  // traffic into its engine.rankN counters.
-  std::vector<std::uint64_t> allocs(ranks_.size(), 0);
-  std::vector<std::uint64_t> recycles(ranks_.size(), 0);
-  for (const auto& [key, clock] : clocks_) {
-    allocs[key.first] += clock->tick_allocs();
-    recycles[key.first] += clock->tick_recycles();
-  }
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    // Fold the rank's tick-pool traffic into its engine.rankN counters.
+    std::uint64_t allocs = 0;
+    std::uint64_t recycles = 0;
+    for (const auto& [period, clock] : ranks_[r].clocks) {
+      allocs += clock->tick_allocs();
+      recycles += clock->tick_recycles();
+    }
     EngineStats& es = engine_stats_[r];
     es.events->add(ranks_[r].events);
     es.mailbox->add(ranks_[r].mailbox_received);
-    es.pool_allocs->add(allocs[r]);
-    es.pool_recycles->add(recycles[r]);
+    es.pool_allocs->add(allocs);
+    es.pool_recycles->add(recycles);
     es.exchange_flushes->add(ranks_[r].outbox_flushes);
     es.barrier_wait->add(ranks_[r].barrier_wait_seconds);
     es.barrier_release->add(ranks_[r].barrier_release_seconds);

@@ -45,7 +45,6 @@ class MetricsCollector;
 
 namespace ckpt {
 class CheckpointEngine;
-class Migrator;
 }  // namespace ckpt
 
 /// The event loop polls the watchdog flag once every kEnginePollInterval
@@ -81,19 +80,14 @@ struct SimConfig {
   /// On expiry the run stops and throws a SimulationError carrying a
   /// per-rank diagnostic report instead of hanging forever.
   double watchdog_seconds = 0.0;
-  /// Abort with a diagnostic report when every event queue drains while
-  /// registered primary components are still unsatisfied (a model-level
-  /// deadlock that would otherwise end the run silently).
-  bool detect_deadlock = true;
 
-  // --- online rebalancing (rebalance.h + src/ckpt/migrate.h) ----------
+  // --- online rebalancing (rebalance.h) -------------------------------
   /// Migrate components across ranks at sync barriers when the measured
   /// per-rank event-rate imbalance crosses rebalance_threshold.  The
   /// decision function is deterministic (epoch event counts + component
   /// ids only), and a migration is invisible to the model — runs stay
   /// byte-identical to their non-rebalanced selves at every rank count.
-  /// Requires an installed migrator (ckpt::install_migrator) when
-  /// num_ranks > 1.  Ignored serially.
+  /// The engine moves components itself.  Ignored serially.
   bool rebalance = false;
   /// Fire when max/mean per-rank epoch event rate reaches this ratio.
   double rebalance_threshold = 1.5;
@@ -289,26 +283,11 @@ class Simulation {
     return static_cast<bool>(ckpt_writer_);
   }
 
-  // ---- online rebalancing (src/ckpt/migrate.h) ----------------------
-
-  /// Installs the migration callback invoked at sync barriers to move
-  /// one component (state + pending events) to another rank.  The
-  /// engine never migrates without one; ckpt::install_migrator() wires
-  /// the Serializer-backed implementation.
-  void set_migrator(
-      std::function<void(Simulation&, ComponentId, RankId)> migrator);
-
-  /// True when a migrator is installed.
-  [[nodiscard]] bool can_migrate() const {
-    return static_cast<bool>(migrator_);
-  }
-
  private:
   friend class Component;
   friend class Link;
   friend class Clock;
   friend class ckpt::CheckpointEngine;  // captures/overlays engine state
-  friend class ckpt::Migrator;          // moves components between ranks
 
   enum class State { kBuilding, kInitialized, kRunning, kDone };
 
@@ -319,6 +298,9 @@ class Simulation {
 
   struct RankState {
     TimeVortex vortex;
+    // This rank's clocks by period.  A component registers on its own
+    // rank's thread, so a clock made mid-run touches no other rank's map.
+    std::map<SimTime, std::unique_ptr<Clock>> clocks;
     SimTime now = 0;
     std::uint64_t events = 0;
     // Incoming cross-rank events, locked by senders.
@@ -396,9 +378,29 @@ class Simulation {
   /// next horizon is computed — a migration moves pending events and cut
   /// links between ranks, and the new window must honour both).  Builds
   /// per-component loads from comp_epoch_events_, asks the
-  /// RebalanceController for a plan, and runs the installed migrator for
-  /// each decision.
+  /// RebalanceController for a plan, sets each planned component's rank
+  /// and migrates.
   void maybe_rebalance(SimTime global_min);
+  /// Moves the clock handlers and pending deliveries of every component
+  /// whose rank changed to that rank, then refreshes the partition.
+  /// Link objects never move, so no handler pointer changes.  Throws
+  /// SimulationError on a violated engine invariant.
+  void migrate();
+  // The placement rule migration and checkpoint restore share: a
+  // component's rank decides the clock its handlers join and the vortex
+  // its pending deliveries wait in.
+  /// Puts `h` on the clock of `period` on its component's rank: in front
+  /// of the clock's metrics sampler, or at the end when `after_sampler`
+  /// or the clock has none.  The clock ticks next at `cycle`: an idle
+  /// clock is armed there, and an armed one must agree (every armed
+  /// clock of a period shares its pending cycle at a barrier).
+  void place_handler(SimTime period, Clock::Handler h, bool after_sampler,
+                     Cycle cycle);
+  /// Queues a pending delivery in the vortex of its target's rank.
+  void place_event(EventPtr ev) {
+    const ComponentId target = link_target_[ev->link_id_];
+    ranks_[components_[target]->rank_].vortex.insert(std::move(ev));
+  }
   void assign_ranks();
   void assign_ranks_mincut();
   void run_init_phases();
@@ -489,7 +491,6 @@ class Simulation {
   std::map<std::string, RankId, std::less<>> pinned_ranks_;
 
   std::vector<RankState> ranks_;
-  std::map<std::pair<RankId, SimTime>, std::unique_ptr<Clock>> clocks_;
 
   StatisticsRegistry stats_;
 
@@ -557,8 +558,7 @@ class Simulation {
   Counter* ckpt_count_stat_ = nullptr;
   Accumulator* ckpt_write_stat_ = nullptr;
 
-  // Online-rebalancing state (ckpt::Migrator does the actual moves).
-  std::function<void(Simulation&, ComponentId, RankId)> migrator_;
+  // Online-rebalancing state.
   std::unique_ptr<RebalanceController> rebalance_ctl_;
   // True while a rebalancing parallel run is in flight: event delivery
   // and clock dispatch attribute per-component epoch counts.  Only

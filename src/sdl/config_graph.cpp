@@ -6,7 +6,6 @@
 #include <string_view>
 #include <utility>
 
-#include "ckpt/migrate.h"
 #include "core/unit_algebra.h"
 #include "fault/fault_model.h"
 #include "net/router.h"
@@ -335,9 +334,6 @@ std::unique_ptr<Simulation> ConfigGraph::build(const Factory& factory) const {
       rtr->schedule_port_heal(f.port, UnitAlgebra(*f.heal_at).to_simtime());
     }
   }
-  // Online rebalancing needs a migration mechanism; every SDL-built run
-  // (sstsim, daemon, DSE, restart) gets the checkpoint-based one.
-  if (sim_config_.rebalance) ckpt::install_migrator(*sim);
   return sim;
 }
 

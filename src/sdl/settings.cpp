@@ -221,7 +221,6 @@ constexpr Setting kSettings[] = {
     row<&SC::rebalance_period, Count<>>("config", "rebalance_period"),
     row<&SC::rebalance_max_moves, Count<>>("config", "rebalance_max_moves"),
     row<&SC::watchdog_seconds, Seconds>("config", "watchdog_seconds"),
-    row<&SC::detect_deadlock, Bool>("config", "detect_deadlock"),
     row<&SC::verbose, Bool>("config", "verbose"),
     removed_row("lax_skew"),
     removed_row("sync_window_max"),

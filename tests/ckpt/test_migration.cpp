@@ -1,11 +1,11 @@
-// Migration-pack serialization contract (satellite of the online
-// repartitioner): every registered component type must survive a
-// serialize_state round trip byte-for-byte — a migration packs exactly
-// {flags, trace seq, rng, serialize_state, pending events} and unpacks
-// it onto the destination rank, so an asymmetric read/write pair would
-// silently corrupt the first component of that type to migrate.  Pending
-// events ride along through the checkpoint event registry, which is also
-// pinned here.
+// Component-state serialization contract for checkpoints: every
+// registered component type must survive a serialize_state round trip
+// byte-for-byte, because a checkpoint packs {flags, trace seq, rng,
+// serialize_state} for every component and restore unpacks it onto the
+// rebuilt model, so an asymmetric read/write pair would silently corrupt
+// the first restore of that type.  Pending events ride along through the
+// checkpoint event registry, which is also pinned here.  (The suite keeps
+// its historical MigrationPack name; a migration itself moves no bytes.)
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -65,9 +65,9 @@ Params params_for(const std::string& type) {
   return p;
 }
 
-// Packs the model-owned part of a migration pack (the rng and trace-seq
-// sections that ckpt::Migrator adds are fixed-width engine fields with
-// their own serializer tests).
+// Packs the model-owned part of a component's checkpoint state (the rng
+// and trace-seq sections the checkpoint engine adds are fixed-width
+// engine fields with their own serializer tests).
 std::vector<std::byte> pack_state(Component& c) {
   Serializer s(Serializer::Mode::kPack);
   c.serialize_state(s);
@@ -89,7 +89,7 @@ TEST(MigrationPack, RoundTripsEveryRegisteredType) {
     Serializer unpack{std::vector<std::byte>(first)};
     c->serialize_state(unpack);
     // An underconsumed stream means serialize_state reads fewer fields
-    // than it writes; the next section of a real migration pack would
+    // than it writes; the next section of a real checkpoint would
     // then be misparsed.
     EXPECT_TRUE(unpack.exhausted()) << type << ": pack not fully consumed";
 
@@ -171,8 +171,8 @@ TEST(MigrationPack, EventRegistryRoundTripsHotspotToken) {
 }
 
 TEST(MigrationPack, UnregisteredEventTypeRejected) {
-  // A component holding pending events of a non-checkpointable type
-  // cannot migrate; the pack must fail loudly rather than drop events.
+  // A pending event of a non-checkpointable type makes the simulation
+  // uncheckpointable; the pack must fail loudly rather than drop events.
   Serializer pack(Serializer::Mode::kPack);
   testing::IntEvent ev(42);
   EXPECT_THROW(detail::write_event(pack, ev), CheckpointError);

@@ -1,17 +1,18 @@
 // Online rebalancer: controller properties (no-op below threshold,
 // bounded, improving, deterministic) and the engine-level determinism
-// contract — migrations are model-invisible at any rank count.
+// contract — migrations are model-invisible at any rank count, clock
+// handlers and metrics samples included.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "ckpt/migrate.h"
+#include "../test_components.h"
 #include "core/sst.h"
 #include "core/rebalance.h"
 #include "net/hotspot.h"
-#include "net/net_lib.h"
 
 namespace sst {
 namespace {
@@ -139,12 +140,9 @@ struct HotspotResult {
   RunStats stats;
 };
 
-HotspotResult run_hotspot(unsigned ranks, bool rebalance,
-                          SimTime end = 60 * kMicrosecond,
-                          bool install_migrator = true) {
-  net::register_library();  // HotspotToken migration serialization
+HotspotResult run_hotspot(unsigned ranks, bool rebalance) {
   SimConfig cfg{.num_ranks = ranks,
-                .end_time = end,
+                .end_time = 60 * kMicrosecond,
                 .seed = 13,
                 .partition = PartitionStrategy::kMinCut};
   cfg.rebalance = rebalance;
@@ -179,7 +177,6 @@ HotspotResult run_hotspot(unsigned ranks, bool rebalance,
                   200 * kNanosecond);
     }
   }
-  if (rebalance && install_migrator) ckpt::install_migrator(sim);
   HotspotResult r;
   r.stats = sim.run();
   for (unsigned j = 0; j < kY; ++j) {
@@ -230,15 +227,137 @@ TEST(Rebalance, StaticRunHasNoMigrations) {
   EXPECT_EQ(r.stats.components_migrated, 0u);
 }
 
-TEST(Rebalance, MissingMigratorRejected) {
-  // rebalance=true on a parallel run without ckpt::install_migrator must
-  // fail fast with a pointer at the fix, not silently skip migrations.
-  try {
-    run_hotspot(2, true, kMicrosecond, /*install_migrator=*/false);
-    FAIL() << "expected ConfigError";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("install_migrator"),
-              std::string::npos);
+// ---------------------------------------------------------------------
+// Clocked components: handlers move to the destination rank's clock.
+// ---------------------------------------------------------------------
+
+/// Counts its 1 MHz ticks in a statistic, so a metrics snapshot shows on
+/// which side of its rank's 1 us sampler the handler runs.
+class CountingTicker final : public Component {
+ public:
+  CountingTicker() {
+    Counter* ticks = stat_counter("ticks");
+    register_clock(kMicrosecond, [ticks](Cycle) {
+      ticks->add();
+      return false;
+    });
+  }
+};
+
+/// Eight CountingTickers pinned to `pins` (ignored serially), rebalanced
+/// at more than one rank; returns the metrics JSONL.
+std::string counting_metrics(unsigned ranks, const std::vector<RankId>& pins) {
+  SimConfig cfg;
+  cfg.num_ranks = ranks;
+  cfg.end_time = 400 * kMicrosecond;
+  cfg.rebalance = ranks > 1;
+  cfg.metrics = true;
+  cfg.metrics_period = kMicrosecond;
+  Simulation sim(cfg);
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    const std::string name = std::string("c") + std::to_string(i);
+    sim.add_component<CountingTicker>(name);
+    if (ranks > 1) sim.set_component_rank(name, pins[i]);
+  }
+  const RunStats stats = sim.run();
+  if (ranks > 1) {
+    EXPECT_GT(stats.components_migrated, 0u);
+  }
+  std::ostringstream os;
+  sim.write_metrics_jsonl(os);
+  return os.str();
+}
+
+/// The first line where two JSONL streams differ, or "" when they match.
+std::string first_difference(const std::string& got, const std::string& want) {
+  std::istringstream g(got);
+  std::istringstream w(want);
+  std::string gl;
+  std::string wl;
+  for (;;) {
+    const bool more_g = static_cast<bool>(std::getline(g, gl));
+    const bool more_w = static_cast<bool>(std::getline(w, wl));
+    if (!more_g && !more_w) return "";
+    if (more_g != more_w || gl != wl) {
+      return "got  " + (more_g ? gl : "<end>") + "\nwant " +
+             (more_w ? wl : "<end>");
+    }
+  }
+}
+
+TEST(Rebalance, MigratedClocksKeepTheirMetricsSamples) {
+  const std::vector<RankId> seven_one = {0, 0, 0, 0, 0, 0, 0, 1};
+  const std::string serial = counting_metrics(1, seven_one);
+  ASSERT_NE(serial.find("\"c7\""), std::string::npos);
+  // A moved handler stays in front of the destination's sampler, so
+  // each snapshot counts the tick at its own time, as serially.
+  EXPECT_EQ(first_difference(counting_metrics(2, seven_one), serial), "");
+  // Rank 1 owns nothing at setup; components moved there are sampled.
+  EXPECT_EQ(
+      first_difference(counting_metrics(2, std::vector<RankId>(8, 0)), serial),
+      "");
+}
+
+struct TickerRun {
+  std::vector<std::vector<SimTime>> tick_times;
+  RunStats stats;
+};
+
+/// Nine tickers: 3 GHz, 700 MHz and seven at 1 GHz.  Six of the 1 GHz
+/// ones are pinned to rank 0, and one of those unregisters after
+/// 150,000 ticks.  The first rebalance pass moves the 3 GHz ticker to
+/// an idle clock and empties its source clock, and moves a 1 GHz ticker
+/// to a rank whose 1 GHz clock is armed.
+TickerRun run_tickers(unsigned ranks) {
+  SimConfig cfg;
+  cfg.num_ranks = ranks;
+  cfg.end_time = 300 * kMicrosecond;
+  cfg.rebalance = ranks > 1;
+  Simulation sim(cfg);
+  struct Spec {
+    const char* clock;
+    const char* limit;
+    bool pinned;
+  };
+  constexpr const char* kForever = "1000000000";
+  const Spec specs[] = {
+      {"3GHz", kForever, false}, {"700MHz", kForever, false},
+      {"1GHz", kForever, true},  {"1GHz", kForever, true},
+      {"1GHz", kForever, true},  {"1GHz", kForever, true},
+      {"1GHz", kForever, true},  {"1GHz", "150000", true},
+      {"1GHz", kForever, false},
+  };
+  std::vector<testing::Ticker*> tickers;
+  for (const Spec& spec : specs) {
+    const std::string name = std::string("t") + std::to_string(tickers.size());
+    Params p;
+    p.set("clock", spec.clock);
+    p.set("limit", spec.limit);
+    tickers.push_back(sim.add_component<testing::Ticker>(name, p));
+    if (spec.pinned) sim.set_component_rank(name, 0);
+  }
+  TickerRun run;
+  run.stats = sim.run();
+  for (const testing::Ticker* t : tickers) {
+    run.tick_times.push_back(t->tick_times);
+  }
+  return run;
+}
+
+TEST(Rebalance, ClockedComponentsMigrate) {
+  const TickerRun serial = run_tickers(1);
+  ASSERT_EQ(serial.tick_times[7].size(), 150000u);
+  // Each rank's clock dispatches its own ticks, so events_processed
+  // differs from serial; the tick times must not.
+  for (unsigned ranks : {2U, 4U}) {
+    const TickerRun r = run_tickers(ranks);
+    EXPECT_GT(r.stats.components_migrated, 0u) << ranks << " ranks";
+    for (std::size_t i = 0; i < serial.tick_times.size(); ++i) {
+      EXPECT_TRUE(r.tick_times[i] == serial.tick_times[i])
+          << "t" << i << " at " << ranks << " ranks: "
+          << r.tick_times[i].size() << " ticks, serial "
+          << serial.tick_times[i].size();
+    }
   }
 }
 

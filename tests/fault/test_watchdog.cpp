@@ -68,13 +68,6 @@ TEST(Deadlock, ParallelDeadlockThrowsDiagnosticReport) {
   }
 }
 
-TEST(Deadlock, DetectionCanBeDisabled) {
-  Simulation sim{SimConfig{.detect_deadlock = false}};
-  Params p;
-  sim.add_component<Waiter>("stuck", p);
-  EXPECT_NO_THROW(sim.run());  // legacy behaviour: silent early end
-}
-
 TEST(Deadlock, EventsUntilEndTimeAreNotADeadlock) {
   // A primary that never finishes but still has events queued when
   // end_time fires is a normal truncated run, not a deadlock.

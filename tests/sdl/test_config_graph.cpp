@@ -316,7 +316,6 @@ const std::map<std::string, std::string>& extreme_values() {
       {"/config/rebalance_period", "18446744073709551615"},
       {"/config/rebalance_max_moves", "4294967295"},
       {"/config/watchdog_seconds", "1.7976931348623157e308"},
-      {"/config/detect_deadlock", "false"},
       {"/config/verbose", "true"},
       {"/observability/trace", "out dir/t\"race\".json"},
       {"/observability/trace_engine", "true"},

@@ -51,7 +51,6 @@ TEST(FaultsSdl, ParsesFaultSection) {
   const ConfigGraph g = ConfigGraph::from_json_text(kFaultySystem);
   EXPECT_EQ(g.sim_config().fault_seed, 99u);
   EXPECT_EQ(g.sim_config().watchdog_seconds, 60.0);
-  EXPECT_TRUE(g.sim_config().detect_deadlock);
   ASSERT_EQ(g.faults().links.size(), 1u);
   const ConfigLinkFault& lf = g.faults().links[0];
   EXPECT_EQ(lf.component, "rank0");

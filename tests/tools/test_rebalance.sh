@@ -14,6 +14,12 @@
 #      a mid-run snapshot of the rebalanced run resumes to the same
 #      stats as the uninterrupted run, at 4 ranks and at 1 and 2; and a
 #      one-rank snapshot resumes at 4 ranks, where it rebalances.
+#   4. The hotspot's metrics JSONL (--metrics-period 20us) is
+#      byte-identical at 1/2/4/8 ranks.
+#   5. Clocked components migrate: quad_gups (four GUPS nodes, every
+#      component pinned to rank 0) produces byte-identical stats at
+#      1/2/4 ranks and metrics at 1/2 ranks while moving components, and
+#      its 4-rank snapshots resume byte-identically at 1, 2 and 4 ranks.
 #
 #   test_rebalance.sh <sstsim> <source_dir>
 set -u
@@ -24,6 +30,7 @@ SRC="${2:?missing source dir}"
 SYSTEMS="$SRC/examples/systems"
 DIGESTS="$SRC/tests/golden/digests.sha256"
 HOTSPOT="$SYSTEMS/moving_hotspot.json"
+QUAD="$SRC/tests/tools/models/quad_gups.json"
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -123,14 +130,19 @@ if ! cmp -s "$WORK/hot.r1.csv" "$WORK/hot.resume_old.csv"; then
   echo "rebalance: restart from the oldest snapshot drifted" >&2
   fail=1
 fi
-# resume_at <snapshot dir> <ranks>: the oldest and the newest snapshot,
-# resumed at <ranks> with verbose engine output in $WORK/x.*.err.
+# resume_at <snapshot dir> <ranks> [<want stats>]: the oldest and the
+# newest snapshot, resumed at <ranks> with verbose engine output in
+# $WORK/x.<dir>.<oldest|newest>.at<ranks>.err, must reproduce <want
+# stats> (default: the hotspot's).
 resume_at() {
-  for snap in "$1/$(ls "$1" | head -1)" "$1"; do
-    x="$(basename "$snap").at$2"
+  want="${3:-$WORK/hot.r1.csv}"
+  for which in oldest newest; do
+    snap="$1"
+    if [ "$which" = oldest ]; then snap="$1/$(ls "$1" | head -1)"; fi
+    x="$(basename "$1").$which.at$2"
     run "x.$x" "$SSTSIM" --restart "$snap" --ranks "$2" \
         --override /config/verbose=true --stats "$WORK/x.$x.csv" || continue
-    if ! cmp -s "$WORK/hot.r1.csv" "$WORK/x.$x.csv"; then
+    if ! cmp -s "$want" "$WORK/x.$x.csv"; then
       echo "rebalance: $1 snapshot $x is not byte-identical" >&2
       fail=1
     fi
@@ -146,14 +158,58 @@ run hot_ckpt1 "$SSTSIM" "$HOTSPOT" --ranks 1 --stats /dev/null \
     --checkpoint-period 150us --checkpoint-dir "$WORK/cp1" \
     --checkpoint-keep 8
 resume_at "$WORK/cp1" 4
-for x in sim.ckpt.000001.at4 cp1.at4; do
+for x in cp1.oldest.at4 cp1.newest.at4; do
   if ! grep -q "rebalance @" "$WORK/x.$x.err"; then
     echo "rebalance: one-rank snapshot $x never migrated a component" >&2
     fail=1
   fi
 done
 
+# --- 4: migrated components keep their metrics samples ---------------
+for ranks in 1 2 4 8; do
+  run "hot_m$ranks" "$SSTSIM" "$HOTSPOT" --ranks "$ranks" --stats /dev/null \
+      --metrics "$WORK/hot.m$ranks.jsonl" --metrics-period 20us || continue
+  if [ "$ranks" -gt 1 ] &&
+      ! cmp -s "$WORK/hot.m1.jsonl" "$WORK/hot.m$ranks.jsonl"; then
+    echo "rebalance: hotspot r$ranks metrics differ from serial" >&2
+    fail=1
+  fi
+done
+
+# --- 5: clocked components migrate ------------------------------------
+for ranks in 1 2; do
+  run "quad_r$ranks" "$SSTSIM" "$QUAD" --ranks "$ranks" \
+      --stats "$WORK/quad.r$ranks.csv" \
+      --metrics "$WORK/quad.m$ranks.jsonl" --metrics-period 1us
+done
+if ! cmp -s "$WORK/quad.m1.jsonl" "$WORK/quad.m2.jsonl"; then
+  echo "rebalance: quad_gups r2 metrics differ from serial" >&2
+  fail=1
+fi
+run quad_r4 "$SSTSIM" "$QUAD" --ranks 4 --stats "$WORK/quad.r4.csv" \
+    --checkpoint-period 100us --checkpoint-dir "$WORK/cpq" \
+    --checkpoint-keep 8
+for ranks in 2 4; do
+  if ! cmp -s "$WORK/quad.r1.csv" "$WORK/quad.r$ranks.csv"; then
+    echo "rebalance: quad_gups r$ranks stats differ from serial" >&2
+    fail=1
+  fi
+  run "quad_prof$ranks" "$SSTSIM" "$QUAD" --ranks "$ranks" \
+      --profile-engine --stats "$WORK/quad.prof$ranks.csv" || continue
+  moved="$(awk -F, '$1 == "engine.rebalance" && \
+      $2 == "components_moved" { print $4 }' "$WORK/quad.prof$ranks.csv")"
+  if [ -z "$moved" ] || [ "$moved" -lt 1 ]; then
+    echo "rebalance: quad_gups r$ranks moved no component ('$moved')" >&2
+    fail=1
+  fi
+done
+for ranks in 1 2 4; do
+  resume_at "$WORK/cpq" "$ranks" "$WORK/quad.r1.csv"
+done
+
 if [ "$fail" -ne 0 ]; then exit 1; fi
 echo "rebalance: corpus goldens unchanged under --rebalance;" \
-     "hotspot byte-identical at 1/2/4/8 ranks with $moves migration" \
-     "passes; post-migration checkpoints resume byte-identically"
+     "hotspot stats and metrics byte-identical at 1/2/4/8 ranks with" \
+     "$moves migration passes; quad_gups byte-identical at 1/2/4 ranks" \
+     "while migrating clocked components; post-migration checkpoints" \
+     "resume byte-identically"
